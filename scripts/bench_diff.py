@@ -41,10 +41,9 @@ RULES = [
     ("metrics.counters.*_streams_generated", 0.0, 0.0, 0, True),
     ("metrics.counters.*_buffer_fills", 0.0, 0.0, 0, True),
     ("*ledger_ok*", 0.0, 0.0, -1, False),
-    # Measured speedup ratios (table-vs-tick, SIMD-vs-scalar, fused-vs-
-    # materialized): wall-clock-derived, so noisy run to run, but a collapse
-    # means an optimization silently stopped engaging. Gate loosely, higher
-    # is better.
+    # Measured speedup ratios (table-vs-tick, SIMD-vs-scalar): wall-clock-
+    # derived, so noisy run to run, but a collapse means an optimization
+    # silently stopped engaging. Gate loosely, higher is better.
     # Batched-serving throughput ratio (bench/serve batch section): a
     # collapse below baseline means coalesced dispatch stopped amortizing
     # preparation. Same loose shrink-only gate as the other ratios.

@@ -10,9 +10,9 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unordered_map>
 
 #include "arch/attribution.hpp"
+#include "arch/perf_sim.hpp"
 #include "exec/parallel_conv.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/fault_model.hpp"
@@ -103,12 +103,28 @@ struct ConvExecution::Impl {
   std::size_t wpl = 0;
   int K = 0, ho = 0, wo = 0;
   std::int64_t outputs = 0, xy = 0, M = 0;
-  int R = 0, chans_at_once = 0, windows_per_pass = 0, slices = 0, groups = 0;
-  double fill = 0, bits_per_value = 0;
+  int R = 0, chans_at_once = 0, windows_per_pass = 0, slices = 0;
+  // OR/PBW/PBHW accumulator groups per output. Tap t = (ic * kh + ky) * kw
+  // + kx belongs to group t % groups: one group (OR), the kernel column kx
+  // (PBW, groups = kw), or the kernel position ky * kw + kx (PBHW, groups
+  // = kh * kw).
+  int groups = 1;
+  // Taps per kernel slice (the widest gathered row) and the reload stall
+  // charged per pass (PerfSim::pass_stall_cycles, computed once per layer).
+  std::size_t slice_taps = 0;
+  std::int64_t pass_stall = 0;
   bool direct_accum = false, accum_faults = false, stuck_faults = false;
   // GEO_STREAM_TABLE, sampled once per layer so a run's generation strategy
   // is coherent even if the environment changes mid-layer.
   bool use_stream_table = true;
+
+  // Per-layer tap decode, indexed by tap t: the kernel offsets (for the
+  // padding check) and the input-plane offset of the tap's channel.
+  struct Tap {
+    int ky = 0, kx = 0;
+    std::size_t plane = 0;
+  };
+  std::vector<Tap> taps;
 
   std::optional<sc::SeedAllocator> alloc;
   std::vector<std::uint64_t> wpos, wneg, act;
@@ -119,22 +135,6 @@ struct ConvExecution::Impl {
   // identity never changes the bits.
   std::unique_ptr<std::atomic<std::uint8_t>[]> act_ready;
 
-  // Fused generate+execute: when no fault model is active and the
-  // comparator-table cache is on, activation streams are resolved to
-  // registry row pointers instead of being copied into `act` — the MAC
-  // reduction reads the table row directly, so the per-stream copy never
-  // happens. The bits are exactly what generate_stream would have copied,
-  // keeping outputs, ledgers, and generation counters byte-identical to the
-  // materialized path. Rows the registry declines (TRNG, table budget) fall
-  // back to per-slot buffers in `act_fallback` (node-stable map; the mutex
-  // guards insertion — readers only see pointers published through the
-  // act_ready release store).
-  bool fused = false;
-  std::vector<const std::uint64_t*> act_rowp;
-  std::vector<std::uint64_t> zero_row;
-  std::unordered_map<std::size_t, std::vector<std::uint64_t>> act_fallback;
-  std::mutex act_fallback_mu;
-
   std::int64_t tiles_cg = 0, tiles_wg = 0;
 
   MachineResult result;
@@ -143,12 +143,32 @@ struct ConvExecution::Impl {
   std::mutex stats_mu;
   std::optional<telemetry::ScopedTimer> run_timer;
   telemetry::Histogram* pass_hist = nullptr;
+  telemetry::Histogram* gather_hist = nullptr;
   telemetry::Histogram* mac_hist = nullptr;
   telemetry::Counter* act_gen_counter = nullptr;
   bool finished = false;
 
   const std::uint64_t* act_stream(std::size_t idx);
-  const std::uint64_t* act_row(std::size_t idx);
+  // Activation slot read by `tap` of the window whose top-left input is
+  // (iy0, ix0), or -1 for a tap that lands in the padding.
+  std::ptrdiff_t tap_input(int iy0, int ix0, const Tap& tap) const {
+    const int iy = iy0 + tap.ky, ix = ix0 + tap.kx;
+    if (iy < 0 || iy >= shape.hin || ix < 0 || ix >= shape.win) return -1;
+    return static_cast<std::ptrdiff_t>(tap.plane) +
+           static_cast<std::ptrdiff_t>(iy) * shape.win + ix;
+  }
+  void gather_window(std::int64_t pos, int tap_lo, int tap_hi,
+                     std::uint64_t* row, std::uint8_t* padded);
+  std::int64_t reduce_row(const std::uint64_t* row, const std::uint64_t* wp,
+                          const std::uint64_t* wn, int tap_lo, int tap_hi,
+                          std::uint64_t* acc) const;
+  std::int64_t reduce_per_tap(const std::uint64_t* row,
+                              const std::uint8_t* padded,
+                              const std::uint64_t* wp,
+                              const std::uint64_t* wn, int tap_lo,
+                              int tap_hi, std::size_t oidx,
+                              std::uint64_t* acc, std::uint64_t* prod,
+                              std::vector<std::uint32_t>& cyc) const;
   template <typename Fn>
   void for_each_tile_input(std::int64_t tile, Fn&& fn) const;
   MachineStats run_tile(std::int64_t tile);
@@ -198,97 +218,174 @@ const std::uint64_t* ConvExecution::Impl::act_stream(std::size_t idx) {
   return act.data() + idx * wpl;
 }
 
-// The fused-path twin of act_stream(): same claim protocol, but the slot
-// resolves to a comparator-table row pointer instead of filling `act`.
-// Mirrors generate_stream + StreamGenerator::generate(use_table=true)
-// decision-for-decision (value quantization, vn scaling/saturation, the
-// zero-value short-circuit BEFORE any registry acquire, one acquire per
-// generation) so every metric the materialized path bumps is bumped here
-// identically.
-const std::uint64_t* ConvExecution::Impl::act_row(std::size_t idx) {
-  std::atomic<std::uint8_t>& flag = act_ready[idx];
-  std::uint8_t state = flag.load(std::memory_order_acquire);
-  while (state != 2) {
-    if (state == 0) {
-      std::uint8_t expected = 0;
-      if (flag.compare_exchange_strong(expected, 1,
-                                       std::memory_order_acq_rel)) {
-        act_gen_counter->add(1);
-        const float a = std::clamp(input[idx], 0.0f, 1.0f);
-        const std::uint32_t q = nn::quantize_unsigned(a, cfg.value_bits);
-        const sc::SeedSpec spec = alloc->activation(static_cast<int>(idx));
-        const unsigned n = spec.bits;
-        std::uint32_t vn = n >= cfg.value_bits
-                               ? q << (n - cfg.value_bits)
-                               : q >> (cfg.value_bits - n);
-        const std::uint32_t max = (1u << n) - 1u;
-        if (vn > max) vn = max;  // Sng::load saturates the same way
-        const std::uint64_t* row = zero_row.data();
-        if (vn != 0) {
-          if (const sc::StreamTable* t =
-                  sc::StreamTableRegistry::instance().acquire(
-                      cfg.rng, spec, static_cast<std::size_t>(L))) {
-            row = t->row(vn);
-          } else {
-            std::vector<std::uint64_t> buf(wpl, 0);
-            sc::StreamGenerator::local().generate(
-                buf.data(), wpl, static_cast<std::size_t>(L), cfg.rng, spec,
-                vn, /*use_table=*/false);
-            const std::lock_guard<std::mutex> lock(act_fallback_mu);
-            auto& slot = act_fallback[idx];
-            slot = std::move(buf);
-            row = slot.data();
-          }
-        }
-        act_rowp[idx] = row;
-        flag.store(2, std::memory_order_release);
-        flag.notify_all();
-        break;
-      }
-      state = expected;
+// Gathers window `pos`'s activation words for taps [tap_lo, tap_hi) into
+// one contiguous row ([tap][wpl]). Padded taps become zero words and are
+// flagged in `padded`. Every stream still comes through act_stream(), so
+// lazy generation, the claim protocol, and the SRAM/stream fault hooks see
+// exactly the slots a per-tap walk would touch.
+void ConvExecution::Impl::gather_window(std::int64_t pos, int tap_lo,
+                                        int tap_hi, std::uint64_t* row,
+                                        std::uint8_t* padded) {
+  const int iy0 = static_cast<int>(pos / wo) * shape.stride - shape.pad;
+  const int ix0 = static_cast<int>(pos % wo) * shape.stride - shape.pad;
+  for (int t = tap_lo; t < tap_hi; ++t, row += wpl, ++padded) {
+    const std::ptrdiff_t aidx =
+        tap_input(iy0, ix0, taps[static_cast<std::size_t>(t)]);
+    *padded = aidx < 0;
+    if (aidx < 0) {
+      std::fill(row, row + wpl, 0);
       continue;
     }
-    for (int s = 0; s < 256 && state == 1; ++s) {
-      std::this_thread::yield();
-      state = flag.load(std::memory_order_acquire);
+    const std::uint64_t* a = act_stream(static_cast<std::size_t>(aidx));
+    std::copy(a, a + wpl, row);
+  }
+}
+
+// One output's clean reduction over a gathered row; `wp`/`wn` point at the
+// same taps of the output channel's [K][wpl] weight rows. The machine
+// models kApc == kFxp (exact counting; the area model carries the
+// difference), so both are one signed MAC popcount over the whole row.
+// OR / PBW / PBHW: tap t belongs to group t % groups, so a group's taps sit
+// `groups` taps apart in the row and word j of the row feeds lane
+// j % (groups * wpl) — one (group, word) pair. Each lane's product pairs
+// are ORed in registers and stored to `acc` ([pos lanes][neg lanes]); which
+// group lands in which lane shifts with tap_lo, but the count sums over
+// every group alike.
+std::int64_t ConvExecution::Impl::reduce_row(const std::uint64_t* row,
+                                             const std::uint64_t* wp,
+                                             const std::uint64_t* wn,
+                                             int tap_lo, int tap_hi,
+                                             std::uint64_t* acc) const {
+  const std::size_t words = static_cast<std::size_t>(tap_hi - tap_lo) * wpl;
+  if (direct_accum) return sc::simd::mac_popcount(row, wp, wn, words);
+  const std::size_t lanes = static_cast<std::size_t>(groups) * wpl;
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    std::uint64_t pos = 0, neg = 0;
+    for (std::size_t j = lane; j < words; j += lanes) {
+      pos |= row[j] & wp[j];
+      neg |= row[j] & wn[j];
     }
-    if (state == 1) {
-      flag.wait(1, std::memory_order_acquire);
-      state = flag.load(std::memory_order_acquire);
+    acc[lane] = pos;
+    acc[lanes + lane] = neg;
+  }
+  return static_cast<std::int64_t>(sc::simd::popcount_words(acc, lanes)) -
+         static_cast<std::int64_t>(
+             sc::simd::popcount_words(acc + lanes, lanes));
+}
+
+// The per-tap reference reduction, taken only under accumulator-input or
+// stuck-counter faults (fail-closed: every injection site is visited in
+// order). It reads the same gathered row, skips exactly the padded taps,
+// forms each product pair explicitly, and lets the fault model corrupt it
+// before accumulation. Site ids are per (output, tap, channel) wire,
+// mirrored by the nn reference path.
+std::int64_t ConvExecution::Impl::reduce_per_tap(
+    const std::uint64_t* row, const std::uint8_t* padded,
+    const std::uint64_t* wp, const std::uint64_t* wn, int tap_lo, int tap_hi,
+    std::size_t oidx, std::uint64_t* acc, std::uint64_t* prod,
+    std::vector<std::uint32_t>& cyc) const {
+  const std::size_t gw = static_cast<std::size_t>(groups) * wpl;
+  std::fill(acc, acc + 2 * gw, 0);
+  std::fill(cyc.begin(), cyc.end(), 0);
+  std::int64_t total = 0;
+  for (int t = tap_lo; t < tap_hi;
+       ++t, row += wpl, wp += wpl, wn += wpl, ++padded) {
+    if (*padded) continue;
+    for (std::size_t k = 0; k < wpl; ++k) {
+      prod[k] = row[k] & wp[k];
+      prod[wpl + k] = row[k] & wn[k];
+    }
+    if (accum_faults) {
+      const std::uint64_t asite =
+          (static_cast<std::uint64_t>(oidx) * K + t) * 2;
+      fm->corrupt_accum_input(prod, static_cast<std::size_t>(L), asite);
+      fm->corrupt_accum_input(prod + wpl, static_cast<std::size_t>(L),
+                              asite + 1);
+    }
+    if (!direct_accum) {
+      std::uint64_t* gp = acc + static_cast<std::size_t>(t % groups) * wpl;
+      sc::simd::or_into(gp, prod, wpl);
+      sc::simd::or_into(gp + gw, prod + wpl, wpl);
+    } else if (!cyc.empty()) {
+      // Stuck-at needs per-cycle counter values, so scatter the product
+      // bits into per-cycle pos/neg histograms.
+      for (std::size_t k = 0; k < 2 * wpl; ++k) {
+        const std::size_t base =
+            (k < wpl ? 0 : static_cast<std::size_t>(L)) + (k % wpl) * 64;
+        for (std::uint64_t b = prod[k]; b != 0; b &= b - 1)
+          ++cyc[base + static_cast<unsigned>(std::countr_zero(b))];
+      }
+    } else {
+      total += static_cast<std::int64_t>(sc::simd::popcount_words(prod, wpl));
+      total -= static_cast<std::int64_t>(
+          sc::simd::popcount_words(prod + wpl, wpl));
     }
   }
-  return act_rowp[idx];
+  if (!cyc.empty()) {
+    // Direct path under a stuck parallel-counter column: run each per-cycle
+    // count through the defective counter.
+    for (int t = 0; t < L; ++t) {
+      total += fm->apply_stuck(cyc[static_cast<std::size_t>(t)]);
+      total -= fm->apply_stuck(cyc[static_cast<std::size_t>(L) + t]);
+    }
+  }
+  if (direct_accum) return total;
+  if (!stuck_faults)
+    return total +
+           static_cast<std::int64_t>(sc::simd::popcount_words(acc, gw)) -
+           static_cast<std::int64_t>(sc::simd::popcount_words(acc + gw, gw));
+  // Each group's OR output is a 1-bit/cycle count into its output-converter
+  // counter; the stuck column corrupts it cycle by cycle.
+  for (int g = 0; g < groups; ++g) {
+    const std::uint64_t* gp = acc + static_cast<std::size_t>(g) * wpl;
+    const std::uint64_t* gn = gp + gw;
+    for (int t = 0; t < L; ++t) {
+      total += fm->apply_stuck(
+          static_cast<std::uint32_t>((gp[t >> 6] >> (t & 63)) & 1u));
+      total -= fm->apply_stuck(
+          static_cast<std::uint32_t>((gn[t >> 6] >> (t & 63)) & 1u));
+    }
+  }
+  return total;
 }
 
 MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
   const int cg = static_cast<int>(tile / tiles_wg);
   const std::int64_t wg = tile % tiles_wg;
+  const int chans = std::min(chans_at_once, shape.cout - cg * R);
+  const int windows = static_cast<int>(std::min<std::int64_t>(
+      windows_per_pass, xy - wg * windows_per_pass));
   // This run's cost, merged into result.stats at the end — concurrent tiles
   // each accumulate privately so the totals are sums of per-tile integers,
   // identical in any merge order.
   MachineStats st;
-  // Per-run scratch (accumulator groups, fault-path product pair, per-cycle
-  // counters): private so concurrent tiles don't share accumulators.
-  std::vector<std::uint64_t> scratch(
-      static_cast<std::size_t>(groups) * 2 * wpl, 0);
-  std::vector<std::uint64_t> prod;
-  std::vector<std::uint32_t> cyc;
-  if (accum_faults || (stuck_faults && direct_accum)) prod.resize(2 * wpl);
-  if (stuck_faults && direct_accum)
-    cyc.resize(2 * static_cast<std::size_t>(L));
+  // Per-run scratch (gathered rows, accumulator groups, fault-path product
+  // pair and per-cycle counters): private so concurrent tiles never share
+  // work buffers.
+  const std::size_t row_words = slice_taps * wpl;
+  std::vector<std::uint64_t> rows(static_cast<std::size_t>(windows) *
+                                  row_words);
+  std::vector<std::uint8_t> padded(static_cast<std::size_t>(windows) *
+                                   slice_taps);
+  auto row_of = [&](int w) {
+    return rows.data() + static_cast<std::size_t>(w) * row_words;
+  };
+  auto padded_of = [&](int w) {
+    return padded.data() + static_cast<std::size_t>(w) * slice_taps;
+  };
+  std::vector<std::uint64_t> acc(static_cast<std::size_t>(groups) * 2 * wpl);
+  const bool per_tap = accum_faults || stuck_faults;
+  std::vector<std::uint64_t> prod(per_tap ? 2 * wpl : 0);
+  std::vector<std::uint32_t> cyc(
+      stuck_faults && direct_accum ? 2 * static_cast<std::size_t>(L) : 0);
 
   // Retry-from-snapshot semantics: a re-run replaces the tile's partial
   // sums, it never double-counts them.
-  for (int c = 0; c < chans_at_once; ++c) {
-    const int oc = cg * R + c;
-    if (oc >= shape.cout) break;
-    for (int wslot = 0; wslot < windows_per_pass; ++wslot) {
-      const std::int64_t pos = wg * windows_per_pass + wslot;
-      if (pos >= xy) break;
-      result.counters[static_cast<std::size_t>(oc) * xy +
-                      static_cast<std::size_t>(pos)] = 0;
-    }
-  }
+  for (int c = 0; c < chans; ++c)
+    std::fill_n(result.counters.begin() +
+                    static_cast<std::ptrdiff_t>((cg * R + c) * xy +
+                                                wg * windows_per_pass),
+                windows, 0);
 
   for (int p = 0; p < slices; ++p) {
     telemetry::ScopedTimer pass_timer(
@@ -299,180 +396,46 @@ MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
          {"act_fills", static_cast<double>(plan.act_loads_per_pass)},
          {"wgt_fills", static_cast<double>(plan.wgt_loads_per_pass)}});
     ++st.passes;
-    // -- reload accounting (the functional fills below are exact; the
-    //    stall model matches PerfSim::pass_stall_cycles).
+    // -- reload accounting (the functional fills below are exact).
     st.act_buffer_fills += plan.act_loads_per_pass;
     st.wgt_buffer_fills += plan.wgt_loads_per_pass;
-    const double act_cycles =
-        std::ceil(plan.act_loads_per_pass * bits_per_value / fill);
-    const double wgt_cycles =
-        std::ceil(plan.wgt_loads_per_pass * bits_per_value / fill);
-    const double reload = std::max(act_cycles, wgt_cycles);
-    double stall = reload;
-    if (hw.shadow_buffers)
-      stall = std::max(0.0, reload - plan.stream_cycles);
-    else if (hw.progressive)
-      stall = std::ceil(
-          std::max(plan.act_loads_per_pass, plan.wgt_loads_per_pass) * 2.0 /
-          fill);
-    st.stall_cycles += static_cast<std::int64_t>(stall);
+    st.stall_cycles += pass_stall;
     st.compute_cycles += plan.stream_cycles + (hw.pipeline_stage ? 1 : 0);
 
-    // -- bit-exact computation of this pass's outputs.
-    telemetry::ScopedTimer mac_timer(*mac_hist, "machine.mac_rows",
-                                     "machine");
+    // -- bit-exact computation of this pass's outputs: gather each
+    //    window's activation words once, then reduce every output channel
+    //    of the tile against the shared row.
     const int tap_lo = static_cast<int>(p * M);
     const int tap_hi = static_cast<int>(
         std::min<std::int64_t>(K, (p + 1) * M));
-    for (int c = 0; c < chans_at_once; ++c) {
+    {
+      telemetry::ScopedTimer gather_timer(*gather_hist, "machine.act_gather",
+                                          "machine");
+      for (int w = 0; w < windows; ++w)
+        gather_window(wg * windows_per_pass + w, tap_lo, tap_hi, row_of(w),
+                      padded_of(w));
+    }
+    telemetry::ScopedTimer mac_timer(*mac_hist, "machine.mac_rows",
+                                     "machine");
+    for (int c = 0; c < chans; ++c) {
       const int oc = cg * R + c;
-      if (oc >= shape.cout) break;
-      for (int wslot = 0; wslot < windows_per_pass; ++wslot) {
-        const std::int64_t pos = wg * windows_per_pass + wslot;
-        if (pos >= xy) break;
-        const int oy = static_cast<int>(pos) / wo;
-        const int ox = static_cast<int>(pos) % wo;
-        const std::size_t oidx =
-            (static_cast<std::size_t>(oc) * ho + oy) * wo + ox;
-
-        std::fill(scratch.begin(), scratch.end(), 0);
-        if (!cyc.empty()) std::fill(cyc.begin(), cyc.end(), 0);
-        std::int64_t direct = 0;  // kFxp / kApc path
-        for (int t = tap_lo; t < tap_hi; ++t) {
-          const int kx = t % shape.kw;
-          const int ky = (t / shape.kw) % shape.kh;
-          const int ic = t / (shape.kw * shape.kh);
-          const int iy = oy * shape.stride - shape.pad + ky;
-          const int ix = ox * shape.stride - shape.pad + kx;
-          if (iy < 0 || iy >= shape.hin || ix < 0 || ix >= shape.win)
-            continue;
-          const std::size_t aidx =
-              (static_cast<std::size_t>(ic) * shape.hin + iy) * shape.win +
-              ix;
-          const std::uint64_t* a = fused ? act_row(aidx) : act_stream(aidx);
-          const std::size_t widx =
-              (static_cast<std::size_t>(oc) * K + t) * wpl;
-          const std::uint64_t* wp = &wpos[widx];
-          const std::uint64_t* wn = &wneg[widx];
-          if (!prod.empty()) {
-            // The product streams are the accumulator inputs; faults on
-            // the OR-tree / parallel-counter input wires hit here. Site
-            // ids are per (output, tap, channel) wire, mirrored by the
-            // nn reference path.
-            for (std::size_t k = 0; k < wpl; ++k) {
-              prod[k] = a[k] & wp[k];
-              prod[wpl + k] = a[k] & wn[k];
-            }
-            if (accum_faults) {
-              const std::uint64_t asite =
-                  (static_cast<std::uint64_t>(oidx) * K + t) * 2;
-              fm->corrupt_accum_input(prod.data(),
-                                      static_cast<std::size_t>(L), asite);
-              fm->corrupt_accum_input(prod.data() + wpl,
-                                      static_cast<std::size_t>(L),
-                                      asite + 1);
-            }
-            wp = prod.data();
-            wn = prod.data() + wpl;
-            a = nullptr;  // products already formed
-          }
-          auto prod_word = [&](const std::uint64_t* ch, std::size_t k) {
-            return a != nullptr ? (a[k] & ch[k]) : ch[k];
-          };
-          if (cfg.accum == nn::AccumMode::kFxp ||
-              cfg.accum == nn::AccumMode::kApc) {
-            // The machine's APC reduces to exact counting per product
-            // pair order; we model kApc == kFxp at machine level (the
-            // area model carries the difference).
-            if (!cyc.empty()) {
-              // Stuck-at needs per-cycle counter values, so scatter the
-              // product bits into per-cycle pos/neg histograms.
-              for (std::size_t k = 0; k < wpl; ++k) {
-                std::uint64_t bp = prod_word(wp, k);
-                while (bp != 0) {
-                  ++cyc[k * 64 +
-                        static_cast<unsigned>(std::countr_zero(bp))];
-                  bp &= bp - 1;
-                }
-                std::uint64_t bn = prod_word(wn, k);
-                while (bn != 0) {
-                  ++cyc[static_cast<std::size_t>(L) + k * 64 +
-                        static_cast<unsigned>(std::countr_zero(bn))];
-                  bn &= bn - 1;
-                }
-              }
-            } else if (a != nullptr) {
-              // Clean fast path: one fused multiply-popcount pass over the
-              // packed words — the product stream is never materialized.
-              direct += sc::simd::mac_popcount(a, wp, wn, wpl);
-            } else {
-              // Products were formed (and corrupted) above; count them.
-              direct += static_cast<std::int64_t>(
-                  sc::simd::popcount_words(wp, wpl));
-              direct -= static_cast<std::int64_t>(
-                  sc::simd::popcount_words(wn, wpl));
-            }
-          } else {
-            int g = 0;
-            if (cfg.accum == nn::AccumMode::kPbw)
-              g = kx;
-            else if (cfg.accum == nn::AccumMode::kPbhw)
-              g = ky * shape.kw + kx;
-            std::uint64_t* gp =
-                &scratch[static_cast<std::size_t>(g) * 2 * wpl];
-            std::uint64_t* gn = gp + wpl;
-            if (a != nullptr) {
-              sc::simd::or_and_into(gp, a, wp, wpl);
-              sc::simd::or_and_into(gn, a, wn, wpl);
-            } else {
-              sc::simd::or_into(gp, wp, wpl);
-              sc::simd::or_into(gn, wn, wpl);
-            }
-          }
-        }
-        std::int64_t total = direct;
-        if (!cyc.empty()) {
-          // Direct path under a stuck parallel-counter column: run each
-          // per-cycle count through the defective counter.
-          for (int t = 0; t < L; ++t) {
-            total += fm->apply_stuck(cyc[static_cast<std::size_t>(t)]);
-            total -= fm->apply_stuck(
-                cyc[static_cast<std::size_t>(L) + t]);
-          }
-        }
-        if (cfg.accum == nn::AccumMode::kOr ||
-            cfg.accum == nn::AccumMode::kPbw ||
-            cfg.accum == nn::AccumMode::kPbhw) {
-          for (int g = 0; g < groups; ++g) {
-            const std::uint64_t* gp =
-                &scratch[static_cast<std::size_t>(g) * 2 * wpl];
-            const std::uint64_t* gn = gp + wpl;
-            if (stuck_faults) {
-              // Each group's OR output is a 1-bit/cycle count into its
-              // output-converter counter; the stuck column corrupts it
-              // cycle by cycle.
-              for (int t = 0; t < L; ++t) {
-                const std::uint32_t bp =
-                    static_cast<std::uint32_t>((gp[t >> 6] >> (t & 63)) &
-                                               1u);
-                const std::uint32_t bn =
-                    static_cast<std::uint32_t>((gn[t >> 6] >> (t & 63)) &
-                                               1u);
-                total += fm->apply_stuck(bp);
-                total -= fm->apply_stuck(bn);
-              }
-            } else {
-              total += static_cast<std::int64_t>(
-                  sc::simd::popcount_words(gp, wpl));
-              total -= static_cast<std::int64_t>(
-                  sc::simd::popcount_words(gn, wpl));
-            }
-          }
-        }
+      const std::size_t widx = (static_cast<std::size_t>(oc) * K + tap_lo) *
+                               wpl;
+      const std::uint64_t* wp = wpos.data() + widx;
+      const std::uint64_t* wn = wneg.data() + widx;
+      for (int w = 0; w < windows; ++w) {
+        const std::size_t oidx = static_cast<std::size_t>(
+            oc * xy + wg * windows_per_pass + w);
+        const std::int64_t total =
+            per_tap ? reduce_per_tap(row_of(w), padded_of(w), wp, wn, tap_lo,
+                                     tap_hi, oidx, acc.data(), prod.data(),
+                                     cyc)
+                    : reduce_row(row_of(w), wp, wn, tap_lo, tap_hi,
+                                 acc.data());
         // Near-memory read-add-write of the partial sum (first slice
         // writes, later slices accumulate).
         result.counters[oidx] += static_cast<std::int32_t>(total);
-        if (slices > 1 && p > 0) ++st.psum_ops;
+        if (p > 0) ++st.psum_ops;
       }
     }
   }
@@ -599,17 +562,11 @@ void ConvExecution::Impl::for_each_tile_input(std::int64_t tile,
   for (int wslot = 0; wslot < windows_per_pass; ++wslot) {
     const std::int64_t pos = wg * windows_per_pass + wslot;
     if (pos >= xy) break;
-    const int oy = static_cast<int>(pos) / wo;
-    const int ox = static_cast<int>(pos) % wo;
-    for (int t = 0; t < K; ++t) {
-      const int kx = t % shape.kw;
-      const int ky = (t / shape.kw) % shape.kh;
-      const int ic = t / (shape.kw * shape.kh);
-      const int iy = oy * shape.stride - shape.pad + ky;
-      const int ix = ox * shape.stride - shape.pad + kx;
-      if (iy < 0 || iy >= shape.hin || ix < 0 || ix >= shape.win) continue;
-      fn((static_cast<std::size_t>(ic) * shape.hin + iy) * shape.win + ix);
-    }
+    const int iy0 = static_cast<int>(pos / wo) * shape.stride - shape.pad;
+    const int ix0 = static_cast<int>(pos % wo) * shape.stride - shape.pad;
+    for (const Tap& tap : taps)
+      if (const std::ptrdiff_t aidx = tap_input(iy0, ix0, tap); aidx >= 0)
+        fn(static_cast<std::size_t>(aidx));
   }
 }
 
@@ -675,11 +632,6 @@ geo::Status ConvExecution::rebind_input(std::span<const float> input) {
   // the per-run result vectors.
   for (std::size_t i = 0; i < input.size(); ++i)
     im.act_ready[i].store(0, std::memory_order_relaxed);
-  if (im.fused) {
-    std::fill(im.act_rowp.begin(), im.act_rowp.end(), nullptr);
-    const std::lock_guard<std::mutex> lock(im.act_fallback_mu);
-    im.act_fallback.clear();
-  }
   im.result.counters.assign(static_cast<std::size_t>(im.outputs), 0);
   im.result.activations.assign(static_cast<std::size_t>(im.outputs), 0);
   im.result.stats = MachineStats{};
@@ -730,6 +682,12 @@ geo::Status GeoMachine::validate_conv(const ConvShape& shape,
     return fail("shape '" + shape.name + "' kernel exceeds padded input");
   if (shape.hout() < 1 || shape.wout() < 1)
     return fail("shape '" + shape.name + "' yields an empty output");
+  // The LFSR width is matched to the stream length, so only 2^n streams
+  // exist; refuse others here rather than throw from the layer planner.
+  if (const int len = Compiler(hw_).stream_len_for(shape);
+      len < 1 || (len & (len - 1)) != 0)
+    return fail("shape '" + shape.name + "' maps to stream length " +
+                std::to_string(len) + ", which is not a power of two");
   if (weights.size() != static_cast<std::size_t>(shape.weights()))
     return fail("weight count mismatch: got " +
                 std::to_string(weights.size()) + ", shape wants " +
@@ -860,16 +818,7 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
   // ---- activation streams, generated lazily per buffer slot -------------
   auto& metrics = telemetry::MetricsRegistry::instance();
   impl->act_gen_counter = &metrics.counter("machine.act_streams_generated");
-  // Fused generate+execute eligibility: fault injection corrupts seeds and
-  // stream buffers per-slot (the rows are shared), and progressive loading
-  // composes masked row segments — both need a private materialized buffer.
-  impl->fused = fm == nullptr && impl->use_stream_table && !cfg.progressive;
-  if (impl->fused) {
-    impl->act_rowp.assign(input.size(), nullptr);
-    impl->zero_row.assign(wpl, 0);
-  } else {
-    impl->act.assign(input.size() * wpl, 0);
-  }
+  impl->act.assign(input.size() * wpl, 0);
   impl->act_ready =
       std::make_unique<std::atomic<std::uint8_t>[]>(input.size());
   for (std::size_t i = 0; i < input.size(); ++i)
@@ -884,28 +833,29 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
   impl->windows_per_pass = impl->plan.windows_per_pass;
   impl->slices = impl->plan.kernel_slices;
   impl->M = hw_.macs_per_row;
+  impl->slice_taps =
+      static_cast<std::size_t>(std::min<std::int64_t>(impl->K, impl->M));
+  impl->pass_stall = static_cast<std::int64_t>(
+      PerfSim::pass_stall_cycles(hw_, impl->plan));
 
-  impl->groups = 1;
-  switch (cfg.accum) {
-    case nn::AccumMode::kOr: impl->groups = 1; break;
-    case nn::AccumMode::kPbw: impl->groups = shape.kw; break;
-    case nn::AccumMode::kPbhw: impl->groups = shape.kh * shape.kw; break;
-    case nn::AccumMode::kFxp:
-    case nn::AccumMode::kApc: impl->groups = 1; break;  // per tap
+  if (cfg.accum == nn::AccumMode::kPbw) impl->groups = shape.kw;
+  if (cfg.accum == nn::AccumMode::kPbhw) impl->groups = shape.kh * shape.kw;
+  impl->taps.resize(static_cast<std::size_t>(impl->K));
+  for (int t = 0; t < impl->K; ++t) {
+    ConvExecution::Impl::Tap& tap = impl->taps[static_cast<std::size_t>(t)];
+    tap.kx = t % shape.kw;
+    tap.ky = (t / shape.kw) % shape.kh;
+    tap.plane = static_cast<std::size_t>(t / (shape.kw * shape.kh)) *
+                static_cast<std::size_t>(shape.hin) *
+                static_cast<std::size_t>(shape.win);
   }
-  // Accumulator / fault-path scratch is allocated per run_tile call (tiles
-  // may run concurrently, so they can't share work buffers); these flags
-  // tell run_tile which buffers a run needs.
   impl->direct_accum = cfg.accum == nn::AccumMode::kFxp ||
                        cfg.accum == nn::AccumMode::kApc;
   impl->accum_faults = fm != nullptr && fm->accum_active();
   impl->stuck_faults = fm != nullptr && fm->stuck_enabled();
 
-  impl->fill = hw_.buffer_fill_bits;
-  impl->bits_per_value =
-      hw_.progressive ? static_cast<double>(n) : hw_.sng_value_bits;
-
   impl->pass_hist = &metrics.histogram("machine.pass");
+  impl->gather_hist = &metrics.histogram("machine.act_gather");
   impl->mac_hist = &metrics.histogram("machine.mac_rows");
 
   impl->tiles_cg = (shape.cout + impl->R - 1) / impl->R;

@@ -92,13 +92,21 @@ void apply_bn_relu(std::span<const std::int32_t> counters,
 // mirrors the stats into telemetry — running every tile exactly once and
 // finishing is bit- and stat-identical to GeoMachine::try_run_conv.
 //
+// Execution: each pass of a tile gathers every window's activation words
+// once into a contiguous [taps][wpl] row (padded taps as zero words), then
+// reduces all of the tile's output channels against that row — one MAC
+// popcount (FXP/APC) or one OR sweep (OR/PBW/PBHW) per output. Runs with
+// accumulator-input or stuck-counter faults take the per-tap reference
+// reduction over the same row instead (see docs/SIMD.md).
+//
 // Thread-safety: distinct tiles may run concurrently (exec::
-// ParallelConvRunner does this) — tile outputs are disjoint, the lazy
-// activation-stream cache is generate-once under an atomic claim, and stat
-// deltas merge under a lock, so the result is byte-identical to the serial
-// tile loop at any thread count (see docs/PARALLELISM.md). All other
-// methods (invalidate_tile_inputs, counters, finish, ...) must be called
-// with no run_tile in flight.
+// ParallelConvRunner does this) — tile outputs are disjoint, gathered rows
+// and accumulators are private per run_tile call, the lazy activation-
+// stream cache is generate-once under an atomic claim, and stat deltas
+// merge under a lock, so the result is byte-identical to the serial tile
+// loop at any thread count (see docs/PARALLELISM.md). All other methods
+// (invalidate_tile_inputs, counters, finish, ...) must be called with no
+// run_tile in flight.
 class ConvExecution {
  public:
   ConvExecution(ConvExecution&&) noexcept;

@@ -21,13 +21,14 @@ PerfSim::PerfSim(const HwConfig& hw, const TechParams& tech)
       energy_(hw_, tech_),
       compiler_(hw_) {}
 
-double PerfSim::pass_stall_cycles(const LayerPlan& plan) const {
+double PerfSim::pass_stall_cycles(const HwConfig& hw,
+                                  const LayerPlan& plan) {
   // Bits that must enter the SNG buffers for one pass. Progressive
   // generation only fetches the bits the (stream-length-matched) LFSR can
   // resolve; normal generation always fetches the full stored value.
   const double bits_per_value =
-      hw_.progressive ? plan.lfsr_bits : hw_.sng_value_bits;
-  const double fill = hw_.buffer_fill_bits;
+      hw.progressive ? plan.lfsr_bits : hw.sng_value_bits;
+  const double fill = hw.buffer_fill_bits;
   const double act_cycles =
       std::ceil(plan.act_loads_per_pass * bits_per_value / fill);
   const double wgt_cycles =
@@ -35,17 +36,17 @@ double PerfSim::pass_stall_cycles(const LayerPlan& plan) const {
   const double reload = std::max(act_cycles, wgt_cycles);
 
   const double compute = plan.stream_cycles;
-  if (hw_.shadow_buffers && hw_.progressive) {
+  if (hw.shadow_buffers && hw.progressive) {
     // Next-pass bits trickle into the shadow buffers during compute;
     // generation restarts as soon as the first 2-bit group is there.
     return std::max(0.0, reload - compute);
   }
-  if (hw_.shadow_buffers) {
+  if (hw.shadow_buffers) {
     // Full-size shadow buffers hide the reload the same way, at 4x the
     // buffer area (Sec. III-D).
     return std::max(0.0, reload - compute);
   }
-  if (hw_.progressive) {
+  if (hw.progressive) {
     // No overlap with the previous pass, but generation starts after the
     // first 2-bit group of every value has arrived.
     const double loads =

@@ -61,8 +61,13 @@ class PerfSim {
   PerfResult simulate(const NetworkShape& net) const;
   PerfResult simulate(const std::vector<LayerPlan>& plans) const;
 
-  // Reload stall per pass, in cycles (exposed for ablation benches).
-  double pass_stall_cycles(const LayerPlan& plan) const;
+  // Reload stall per pass, in cycles — the one stall formula: simulate()
+  // and GeoMachine's per-pass ledger charge both use it (the member form
+  // is exposed for ablation benches).
+  static double pass_stall_cycles(const HwConfig& hw, const LayerPlan& plan);
+  double pass_stall_cycles(const LayerPlan& plan) const {
+    return pass_stall_cycles(hw_, plan);
+  }
 
   // Peak throughput rating: 2 ops/MAC at the shortest configured stream
   // length; all-OR designs (ACOUSTIC-style) pay the split-unipolar doubling

@@ -2,12 +2,10 @@
 // produce byte-identical conv outputs, activations, and cycle ledgers for
 // every backend x thread-count x fault-injection combination, in every
 // accumulator mode — SIMD is an execution optimization, never a semantic
-// change. Also pins the fused generate+execute path (comparator-table rows
-// fed straight into the MAC) against the materialized-stream path.
+// change.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <random>
@@ -88,33 +86,6 @@ std::string fingerprint(const MachineResult& r) {
   return os.str();
 }
 
-// Scoped setenv/restore so knob tests cannot leak into each other.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_.c_str(), saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string saved_;
-  bool had_ = false;
-};
-
 constexpr nn::AccumMode kModes[] = {nn::AccumMode::kFxp, nn::AccumMode::kApc,
                                     nn::AccumMode::kOr, nn::AccumMode::kPbw,
                                     nn::AccumMode::kPbhw};
@@ -156,26 +127,6 @@ TEST_P(SimdIdentity, ConvIsByteIdenticalAcrossBackendsAndThreads) {
       EXPECT_EQ(prints[0], prints[i])
           << "faults=" << faults << " cell " << i << " diverged";
   }
-}
-
-// Fused generate+execute (table rows fed straight into the MAC reduction,
-// GEO_STREAM_TABLE=1, no fault model) must be byte-identical to the
-// materialized bit-serial path (GEO_STREAM_TABLE=0) — same outputs, same
-// ledger. Covers both the direct (kFxp) and grouped (kPbw) accumulators.
-TEST_P(SimdIdentity, FusedTableRowsMatchMaterializedStreams) {
-  const Fixture f;
-  const HwConfig hw = hw_for(GetParam());
-  ScopedFaultInjection off(nullptr);
-  std::vector<std::string> prints;
-  for (const char* table : {"1", "0"}) {
-    ScopedEnv env("GEO_STREAM_TABLE", table);
-    GeoMachine machine(hw);
-    auto r = machine.try_run_conv(f.shape, f.weights, f.input, f.ones,
-                                  f.zeros, 9);
-    ASSERT_TRUE(r.ok()) << r.status().to_string();
-    prints.push_back(fingerprint(*r));
-  }
-  EXPECT_EQ(prints[0], prints[1]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Accum, SimdIdentity, ::testing::ValuesIn(kModes),
