@@ -2,10 +2,12 @@
 // produce byte-identical conv outputs, activations, and cycle ledgers for
 // every backend x thread-count x fault-injection combination, in every
 // accumulator mode — SIMD is an execution optimization, never a semantic
-// change.
+// change. Also pins comparator-table-generated streams against the
+// materialized tick-path streams through the gathered MAC.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <random>
@@ -86,6 +88,33 @@ std::string fingerprint(const MachineResult& r) {
   return os.str();
 }
 
+// Scoped setenv/restore so knob tests cannot leak into each other.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    if (old != nullptr) saved_ = old;
+    had_ = old != nullptr;
+    if (value != nullptr) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (had_) {
+      ::setenv(name_.c_str(), saved_.c_str(), 1);
+    } else {
+      ::unsetenv(name_.c_str());
+    }
+  }
+
+ private:
+  std::string name_;
+  std::string saved_;
+  bool had_ = false;
+};
+
 constexpr nn::AccumMode kModes[] = {nn::AccumMode::kFxp, nn::AccumMode::kApc,
                                     nn::AccumMode::kOr, nn::AccumMode::kPbw,
                                     nn::AccumMode::kPbhw};
@@ -127,6 +156,27 @@ TEST_P(SimdIdentity, ConvIsByteIdenticalAcrossBackendsAndThreads) {
       EXPECT_EQ(prints[0], prints[i])
           << "faults=" << faults << " cell " << i << " diverged";
   }
+}
+
+// Streams built from comparator-table rows (GEO_STREAM_TABLE=1) and
+// streams materialized by the bit-serial tick path (GEO_STREAM_TABLE=0)
+// must give byte-identical outputs and ledgers once gathered and reduced,
+// in every accumulator mode (direct FXP/APC and grouped OR/PBW/PBHW).
+TEST_P(SimdIdentity, FusedTableRowsMatchMaterializedStreams) {
+  const Fixture f;
+  const HwConfig hw = hw_for(GetParam());
+  ScopedFaultInjection off(nullptr);
+  std::vector<std::string> prints;
+  for (const char* table : {"1", "0"}) {
+    ScopedEnv env("GEO_STREAM_TABLE", table);
+    GeoMachine machine(hw);
+    auto r = machine.try_run_conv(f.shape, f.weights, f.input, f.ones,
+                                  f.zeros, 9);
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    EXPECT_TRUE(r->stats.ledger_ok) << "GEO_STREAM_TABLE=" << table;
+    prints.push_back(fingerprint(*r));
+  }
+  EXPECT_EQ(prints[0], prints[1]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Accum, SimdIdentity, ::testing::ValuesIn(kModes),

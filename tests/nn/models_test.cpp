@@ -3,6 +3,9 @@
 // shape propagation for all three zoo models in all three compute modes.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "nn/models.hpp"
 #include "nn/sc_layers.hpp"
 
@@ -59,8 +62,10 @@ TEST(Models, StochasticModeQuantizesBatchNorm) {
   EXPECT_EQ(bn_count, 3) << "BN before every ReLU (Sec. III-B)";
 }
 
+// std::string, not const char*: gtest prints a const char* parameter with
+// its address, which would put a per-process pointer into the test name.
 class ModelForwardShapes
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(ModelForwardShapes, LogitsShapeForEveryMode) {
   const auto [name, channels] = GetParam();
@@ -77,9 +82,9 @@ TEST_P(ModelForwardShapes, LogitsShapeForEveryMode) {
 
 INSTANTIATE_TEST_SUITE_P(
     Zoo, ModelForwardShapes,
-    ::testing::Values(std::make_tuple("cnn4", 3),
-                      std::make_tuple("lenet5", 1),
-                      std::make_tuple("vgg", 3)));
+    ::testing::Values(std::make_tuple(std::string("cnn4"), 3),
+                      std::make_tuple(std::string("lenet5"), 1),
+                      std::make_tuple(std::string("vgg"), 3)));
 
 TEST(Models, ConfigPropagatesToLayers) {
   ScModelConfig cfg = ScModelConfig::stochastic(16, 32);
