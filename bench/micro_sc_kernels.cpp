@@ -179,14 +179,12 @@ double measure_streams_per_s(bool progressive, bool use_table) {
 
 // ---- sc::simd kernel rates, scalar vs the best vector backend ------------
 
-enum class SimdKernel { kPopcount, kAndPopcount, kMacPopcount, kOrAndInto };
+enum class SimdKernel { kPopcount, kAndPopcount };
 
 const char* kernel_name(SimdKernel k) {
   switch (k) {
     case SimdKernel::kPopcount: return "popcount";
     case SimdKernel::kAndPopcount: return "and_popcount";
-    case SimdKernel::kMacPopcount: return "mac_popcount";
-    case SimdKernel::kOrAndInto: return "or_and_into";
   }
   return "?";
 }
@@ -202,11 +200,9 @@ double measure_kernel_words_per_s(geo::sc::simd::Backend backend,
   constexpr std::size_t kWpl = 64;
   constexpr std::size_t kRows = 8;
   std::mt19937_64 rng(42);
-  std::vector<std::uint64_t> a(kRows * kWpl), wp(kRows * kWpl),
-      wn(kRows * kWpl), dst(kWpl, 0);
+  std::vector<std::uint64_t> a(kRows * kWpl), wp(kRows * kWpl);
   for (auto& x : a) x = rng();
   for (auto& x : wp) x = rng();
-  for (auto& x : wn) x = rng();
   std::uint64_t sink = 0;
   auto one = [&](std::size_t i) {
     const std::size_t row = (i % kRows) * kWpl;
@@ -218,15 +214,6 @@ double measure_kernel_words_per_s(geo::sc::simd::Backend backend,
         sink += geo::sc::simd::and_popcount(a.data() + row, wp.data() + row,
                                             kWpl);
         break;
-      case SimdKernel::kMacPopcount:
-        sink += static_cast<std::uint64_t>(geo::sc::simd::mac_popcount(
-            a.data() + row, wp.data() + row, wn.data() + row, kWpl));
-        break;
-      case SimdKernel::kOrAndInto:
-        geo::sc::simd::or_and_into(dst.data(), a.data() + row,
-                                   wp.data() + row, kWpl);
-        sink += dst[row % kWpl];
-        break;
     }
   };
   for (std::size_t i = 0; i < 20000; ++i) one(i);
@@ -237,6 +224,38 @@ double measure_kernel_words_per_s(geo::sc::simd::Backend backend,
   benchmark::DoNotOptimize(sink);
   const double secs = std::chrono::duration<double>(t1 - t0).count();
   return secs > 0.0 ? static_cast<double>(iters * kWpl) / secs : 0.0;
+}
+
+// (row word, channel) pairs/s of the machine's packed MAC under one
+// backend, on one pass shaped like cnn4's conv3 at the ULP point: a
+// 400-word row of two packed L = 32 windows, 5 PBW lanes, 32 output
+// channels of channel-blocked weights.
+double measure_packed_mac_words_per_s(geo::sc::simd::Backend backend) {
+  using clock = std::chrono::steady_clock;
+  const geo::sc::simd::ScopedSimdBackend scope(backend);
+  constexpr std::size_t kWords = 400, kLanes = 5, kChannels = 32;
+  std::mt19937_64 rng(42);
+  std::vector<std::uint64_t> row(kWords), wp(kWords * kChannels),
+      wn(kWords * kChannels);
+  for (auto* v : {&row, &wp, &wn})
+    for (auto& x : *v) x = rng();
+  std::vector<std::int32_t> out(kChannels * 2);
+  std::int64_t sink = 0;
+  auto one = [&] {
+    geo::sc::simd::packed_mac(row.data(), kWords, kLanes, wp.data(),
+                              wn.data(), kChannels, kChannels, 32, out.data());
+    sink += out[0];
+    row[0] ^= static_cast<std::uint64_t>(sink);  // defeat hoisting
+  };
+  for (int i = 0; i < 200; ++i) one();
+  const int iters = 4000;
+  const auto t0 = clock::now();
+  for (int i = 0; i < iters; ++i) one();
+  const auto t1 = clock::now();
+  benchmark::DoNotOptimize(sink);
+  const double secs = std::chrono::duration<double>(t1 - t0).count();
+  return secs > 0.0 ? static_cast<double>(iters * kWords * kChannels) / secs
+                    : 0.0;
 }
 
 }  // namespace
@@ -288,15 +307,14 @@ int main(int argc, char** argv) {
   // SIMD section: per-kernel scalar-vs-vector rates on a MAC-row working
   // set (wpl = 64). The regression gate's *speedup* rule keeps the measured
   // ratios from collapsing; the *_per_s rates are informational (wall
-  // clock). The tentpole acceptance metric is simd.mac_popcount_speedup.
+  // clock). packed_mac is the machine's MAC kernel.
   using geo::sc::simd::Backend;
   const Backend best = geo::sc::simd::detect_best();
   report.set("simd.vector_backend_available",
              best == Backend::kScalar ? 0.0 : 1.0);
   report.set("simd.words_per_row", 64.0);
   for (const SimdKernel k :
-       {SimdKernel::kPopcount, SimdKernel::kAndPopcount,
-        SimdKernel::kMacPopcount, SimdKernel::kOrAndInto}) {
+       {SimdKernel::kPopcount, SimdKernel::kAndPopcount}) {
     const double scalar_rate =
         measure_kernel_words_per_s(Backend::kScalar, k);
     const double simd_rate = measure_kernel_words_per_s(best, k);
@@ -306,6 +324,12 @@ int main(int argc, char** argv) {
     report.set(key + "_speedup",
                scalar_rate > 0.0 ? simd_rate / scalar_rate : 0.0);
   }
+  const double mac_scalar = measure_packed_mac_words_per_s(Backend::kScalar);
+  const double mac_simd = measure_packed_mac_words_per_s(best);
+  report.set("simd.packed_mac_scalar_words_per_s", mac_scalar);
+  report.set("simd.packed_mac_simd_words_per_s", mac_simd);
+  report.set("simd.packed_mac_speedup",
+             mac_scalar > 0.0 ? mac_simd / mac_scalar : 0.0);
 
   if (!caller_out) {
     std::ifstream in(raw_path);

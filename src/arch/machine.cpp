@@ -101,6 +101,12 @@ struct ConvExecution::Impl {
 
   int L = 0;
   std::size_t wpl = 0;
+  // Window packing of the clean MAC: streams of L <= 32 bits share a word,
+  // `pack` windows per word, each in its own `slot_bits`-wide slot (the
+  // smallest of 8/16/32/64 that holds L). Faulted runs do not pack (pack
+  // = 1, slot_bits = 64) so the per-tap reduction sees one window per row.
+  int pack = 1;
+  unsigned slot_bits = 64;
   int K = 0, ho = 0, wo = 0;
   std::int64_t outputs = 0, xy = 0, M = 0;
   int R = 0, chans_at_once = 0, windows_per_pass = 0, slices = 0;
@@ -127,6 +133,10 @@ struct ConvExecution::Impl {
   std::vector<Tap> taps;
 
   std::optional<sc::SeedAllocator> alloc;
+  // Weight streams, channel-blocked: word k of output channel oc's tap t is
+  // at ((t * wpl + k) * cout + oc), so one vector load covers neighbouring
+  // channels. A short stream is replicated into every window slot of its
+  // word. Both MAC paths read this one bank.
   std::vector<std::uint64_t> wpos, wneg, act;
   // Lazy activation-stream cache flags: 0 = empty, 1 = being generated,
   // 2 = ready. Atomic so concurrent tiles claim generation exactly once
@@ -148,7 +158,12 @@ struct ConvExecution::Impl {
   telemetry::Counter* act_gen_counter = nullptr;
   bool finished = false;
 
-  const std::uint64_t* act_stream(std::size_t idx);
+  // The activation stream in slot `idx`; the first use generates it.
+  const std::uint64_t* act_stream(std::size_t idx) {
+    if (act_ready[idx].load(std::memory_order_acquire) != 2) claim_act(idx);
+    return act.data() + idx * wpl;
+  }
+  void claim_act(std::size_t idx);
   // Activation slot read by `tap` of the window whose top-left input is
   // (iy0, ix0), or -1 for a tap that lands in the padding.
   std::ptrdiff_t tap_input(int iy0, int ix0, const Tap& tap) const {
@@ -157,11 +172,8 @@ struct ConvExecution::Impl {
     return static_cast<std::ptrdiff_t>(tap.plane) +
            static_cast<std::ptrdiff_t>(iy) * shape.win + ix;
   }
-  void gather_window(std::int64_t pos, int tap_lo, int tap_hi,
+  void gather_window(std::int64_t pos, int tap_lo, int tap_hi, int slot,
                      std::uint64_t* row, std::uint8_t* padded);
-  std::int64_t reduce_row(const std::uint64_t* row, const std::uint64_t* wp,
-                          const std::uint64_t* wn, int tap_lo, int tap_hi,
-                          std::uint64_t* acc) const;
   std::int64_t reduce_per_tap(const std::uint64_t* row,
                               const std::uint8_t* padded,
                               const std::uint64_t* wp,
@@ -175,7 +187,7 @@ struct ConvExecution::Impl {
   MachineResult finish();
 };
 
-const std::uint64_t* ConvExecution::Impl::act_stream(std::size_t idx) {
+void ConvExecution::Impl::claim_act(std::size_t idx) {
   std::atomic<std::uint8_t>& flag = act_ready[idx];
   std::uint8_t state = flag.load(std::memory_order_acquire);
   while (state != 2) {
@@ -215,85 +227,55 @@ const std::uint64_t* ConvExecution::Impl::act_stream(std::size_t idx) {
       state = flag.load(std::memory_order_acquire);
     }
   }
-  return act.data() + idx * wpl;
 }
 
 // Gathers window `pos`'s activation words for taps [tap_lo, tap_hi) into
-// one contiguous row ([tap][wpl]). Padded taps become zero words and are
-// flagged in `padded`. Every stream still comes through act_stream(), so
-// lazy generation, the claim protocol, and the SRAM/stream fault hooks see
-// exactly the slots a per-tap walk would touch.
+// window slot `slot` of a zeroed row ([tap][wpl]): with packing, word t of
+// the row carries window w's stream in bits [w * slot_bits, (w + 1) *
+// slot_bits). Padded taps stay zero and are flagged in `padded`. Every
+// stream still comes through act_stream(), so lazy generation, the claim
+// protocol, and the SRAM/stream fault hooks see exactly the slots a per-tap
+// walk would touch.
 void ConvExecution::Impl::gather_window(std::int64_t pos, int tap_lo,
-                                        int tap_hi, std::uint64_t* row,
+                                        int tap_hi, int slot,
+                                        std::uint64_t* row,
                                         std::uint8_t* padded) {
   const int iy0 = static_cast<int>(pos / wo) * shape.stride - shape.pad;
   const int ix0 = static_cast<int>(pos % wo) * shape.stride - shape.pad;
+  const unsigned shift = static_cast<unsigned>(slot) * slot_bits;
   for (int t = tap_lo; t < tap_hi; ++t, row += wpl, ++padded) {
     const std::ptrdiff_t aidx =
         tap_input(iy0, ix0, taps[static_cast<std::size_t>(t)]);
     *padded = aidx < 0;
-    if (aidx < 0) {
-      std::fill(row, row + wpl, 0);
-      continue;
-    }
+    if (aidx < 0) continue;
     const std::uint64_t* a = act_stream(static_cast<std::size_t>(aidx));
-    std::copy(a, a + wpl, row);
+    for (std::size_t k = 0; k < wpl; ++k) row[k] |= a[k] << shift;
   }
-}
-
-// One output's clean reduction over a gathered row; `wp`/`wn` point at the
-// same taps of the output channel's [K][wpl] weight rows. The machine
-// models kApc == kFxp (exact counting; the area model carries the
-// difference), so both are one signed MAC popcount over the whole row.
-// OR / PBW / PBHW: tap t belongs to group t % groups, so a group's taps sit
-// `groups` taps apart in the row and word j of the row feeds lane
-// j % (groups * wpl) — one (group, word) pair. Each lane's product pairs
-// are ORed in registers and stored to `acc` ([pos lanes][neg lanes]); which
-// group lands in which lane shifts with tap_lo, but the count sums over
-// every group alike.
-std::int64_t ConvExecution::Impl::reduce_row(const std::uint64_t* row,
-                                             const std::uint64_t* wp,
-                                             const std::uint64_t* wn,
-                                             int tap_lo, int tap_hi,
-                                             std::uint64_t* acc) const {
-  const std::size_t words = static_cast<std::size_t>(tap_hi - tap_lo) * wpl;
-  if (direct_accum) return sc::simd::mac_popcount(row, wp, wn, words);
-  const std::size_t lanes = static_cast<std::size_t>(groups) * wpl;
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    std::uint64_t pos = 0, neg = 0;
-    for (std::size_t j = lane; j < words; j += lanes) {
-      pos |= row[j] & wp[j];
-      neg |= row[j] & wn[j];
-    }
-    acc[lane] = pos;
-    acc[lanes + lane] = neg;
-  }
-  return static_cast<std::int64_t>(sc::simd::popcount_words(acc, lanes)) -
-         static_cast<std::int64_t>(
-             sc::simd::popcount_words(acc + lanes, lanes));
 }
 
 // The per-tap reference reduction, taken only under accumulator-input or
 // stuck-counter faults (fail-closed: every injection site is visited in
-// order). It reads the same gathered row, skips exactly the padded taps,
-// forms each product pair explicitly, and lets the fault model corrupt it
-// before accumulation. Site ids are per (output, tap, channel) wire,
-// mirrored by the nn reference path.
+// order). It reads an unpacked gathered row and the output channel's
+// weights (`wp`/`wn` at tap_lo, word k of a tap `cout` words apart), skips
+// exactly the padded taps, forms each product pair explicitly, and lets the
+// fault model corrupt it before accumulation. Site ids are per (output,
+// tap, channel) wire, mirrored by the nn reference path.
 std::int64_t ConvExecution::Impl::reduce_per_tap(
     const std::uint64_t* row, const std::uint8_t* padded,
     const std::uint64_t* wp, const std::uint64_t* wn, int tap_lo, int tap_hi,
     std::size_t oidx, std::uint64_t* acc, std::uint64_t* prod,
     std::vector<std::uint32_t>& cyc) const {
   const std::size_t gw = static_cast<std::size_t>(groups) * wpl;
+  const auto cout = static_cast<std::size_t>(shape.cout);
   std::fill(acc, acc + 2 * gw, 0);
   std::fill(cyc.begin(), cyc.end(), 0);
   std::int64_t total = 0;
-  for (int t = tap_lo; t < tap_hi;
-       ++t, row += wpl, wp += wpl, wn += wpl, ++padded) {
+  for (int t = tap_lo; t < tap_hi; ++t, row += wpl, wp += wpl * cout,
+           wn += wpl * cout, ++padded) {
     if (*padded) continue;
     for (std::size_t k = 0; k < wpl; ++k) {
-      prod[k] = row[k] & wp[k];
-      prod[wpl + k] = row[k] & wn[k];
+      prod[k] = row[k] & wp[k * cout];
+      prod[wpl + k] = row[k] & wn[k * cout];
     }
     if (accum_faults) {
       const std::uint64_t asite =
@@ -359,25 +341,31 @@ MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
   // each accumulate privately so the totals are sums of per-tile integers,
   // identical in any merge order.
   MachineStats st;
-  // Per-run scratch (gathered rows, accumulator groups, fault-path product
-  // pair and per-cycle counters): private so concurrent tiles never share
-  // work buffers.
+  // Per-run scratch (gathered rows, per-(channel, slot) counts, fault-path
+  // accumulator groups, product pair and per-cycle counters): private so
+  // concurrent tiles never share work buffers. Windows w of the tile sit in
+  // row w / pack, slot w % pack; the last row may be partly filled.
   const std::size_t row_words = slice_taps * wpl;
-  std::vector<std::uint64_t> rows(static_cast<std::size_t>(windows) *
+  const int row_count = (windows + pack - 1) / pack;
+  std::vector<std::uint64_t> rows(static_cast<std::size_t>(row_count) *
                                   row_words);
   std::vector<std::uint8_t> padded(static_cast<std::size_t>(windows) *
                                    slice_taps);
-  auto row_of = [&](int w) {
-    return rows.data() + static_cast<std::size_t>(w) * row_words;
+  auto row_of = [&](int r) {
+    return rows.data() + static_cast<std::size_t>(r) * row_words;
   };
   auto padded_of = [&](int w) {
     return padded.data() + static_cast<std::size_t>(w) * slice_taps;
   };
-  std::vector<std::uint64_t> acc(static_cast<std::size_t>(groups) * 2 * wpl);
   const bool per_tap = accum_faults || stuck_faults;
+  std::vector<std::int32_t> counts(
+      per_tap ? 0 : static_cast<std::size_t>(chans) * pack);
+  std::vector<std::uint64_t> acc(
+      per_tap ? static_cast<std::size_t>(groups) * 2 * wpl : 0);
   std::vector<std::uint64_t> prod(per_tap ? 2 * wpl : 0);
   std::vector<std::uint32_t> cyc(
       stuck_faults && direct_accum ? 2 * static_cast<std::size_t>(L) : 0);
+  const auto cout = static_cast<std::size_t>(shape.cout);
 
   // Retry-from-snapshot semantics: a re-run replaces the tile's partial
   // sums, it never double-counts them.
@@ -404,39 +392,62 @@ MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
 
     // -- bit-exact computation of this pass's outputs: gather each
     //    window's activation words once, then reduce every output channel
-    //    of the tile against the shared row.
+    //    of the tile against the shared rows.
     const int tap_lo = static_cast<int>(p * M);
     const int tap_hi = static_cast<int>(
         std::min<std::int64_t>(K, (p + 1) * M));
+    const std::size_t words = static_cast<std::size_t>(tap_hi - tap_lo) * wpl;
     {
       telemetry::ScopedTimer gather_timer(*gather_hist, "machine.act_gather",
                                           "machine");
+      std::fill(rows.begin(), rows.end(), 0);
       for (int w = 0; w < windows; ++w)
-        gather_window(wg * windows_per_pass + w, tap_lo, tap_hi, row_of(w),
-                      padded_of(w));
+        gather_window(wg * windows_per_pass + w, tap_lo, tap_hi, w % pack,
+                      row_of(w / pack), padded_of(w));
     }
     telemetry::ScopedTimer mac_timer(*mac_hist, "machine.mac_rows",
                                      "machine");
-    for (int c = 0; c < chans; ++c) {
-      const int oc = cg * R + c;
-      const std::size_t widx = (static_cast<std::size_t>(oc) * K + tap_lo) *
-                               wpl;
-      const std::uint64_t* wp = wpos.data() + widx;
-      const std::uint64_t* wn = wneg.data() + widx;
-      for (int w = 0; w < windows; ++w) {
-        const std::size_t oidx = static_cast<std::size_t>(
-            oc * xy + wg * windows_per_pass + w);
-        const std::int64_t total =
-            per_tap ? reduce_per_tap(row_of(w), padded_of(w), wp, wn, tap_lo,
-                                     tap_hi, oidx, acc.data(), prod.data(),
-                                     cyc)
-                    : reduce_row(row_of(w), wp, wn, tap_lo, tap_hi,
-                                 acc.data());
-        // Near-memory read-add-write of the partial sum (first slice
-        // writes, later slices accumulate).
-        result.counters[oidx] += static_cast<std::int32_t>(total);
-        if (p > 0) ++st.psum_ops;
-      }
+    const std::size_t widx = static_cast<std::size_t>(tap_lo) * wpl * cout +
+                             static_cast<std::size_t>(cg * R);
+    const std::uint64_t* wp = wpos.data() + widx;
+    const std::uint64_t* wn = wneg.data() + widx;
+    auto oidx_of = [&](int c, int w) {
+      return static_cast<std::size_t>((cg * R + c) * xy +
+                                      wg * windows_per_pass + w);
+    };
+    // Near-memory read-add-write of one partial sum (first slice writes,
+    // later slices accumulate).
+    auto accumulate = [&](std::size_t oidx, std::int64_t total) {
+      result.counters[oidx] += static_cast<std::int32_t>(total);
+      if (p > 0) ++st.psum_ops;
+    };
+    if (per_tap) {
+      for (int c = 0; c < chans; ++c)
+        for (int w = 0; w < windows; ++w)
+          accumulate(oidx_of(c, w),
+                     reduce_per_tap(row_of(w), padded_of(w), wp + c, wn + c,
+                                    tap_lo, tap_hi, oidx_of(c, w), acc.data(),
+                                    prod.data(), cyc));
+      continue;
+    }
+    // Clean: word j of a row feeds lane j % lanes. OR / PBW / PBHW: tap t
+    // belongs to group t % groups, so lane (t - tap_lo) % groups * wpl + k
+    // is one (group, word) pair — which group lands in which lane shifts
+    // with tap_lo, but the count sums over every group alike. FXP / APC
+    // (the machine models APC as exact counting; the area model carries
+    // the difference): every word is its own lane.
+    const std::size_t lanes =
+        direct_accum ? words
+                     : std::min(words, static_cast<std::size_t>(groups) * wpl);
+    for (int r = 0; r < row_count; ++r) {
+      sc::simd::packed_mac(row_of(r), words, lanes, wp, wn, cout,
+                           static_cast<std::size_t>(chans), slot_bits,
+                           counts.data());
+      const int slots = std::min(pack, windows - r * pack);
+      for (int c = 0; c < chans; ++c)
+        for (int s = 0; s < slots; ++s)
+          accumulate(oidx_of(c, r * pack + s),
+                     counts[static_cast<std::size_t>(c * pack + s)]);
     }
   }
 
@@ -770,7 +781,6 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
   impl->L = cfg.stream_len;
   impl->wpl = static_cast<std::size_t>((impl->L + 63) / 64);
   const unsigned n = cfg.lfsr_bits();
-  impl->K = shape.taps();
   impl->ho = shape.hout();
   impl->wo = shape.wout();
   impl->outputs = shape.outputs();
@@ -782,6 +792,16 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
   const std::size_t wpl = impl->wpl;
   const int L = impl->L;
 
+  impl->K = shape.taps();
+  impl->direct_accum = cfg.accum == nn::AccumMode::kFxp ||
+                       cfg.accum == nn::AccumMode::kApc;
+  impl->accum_faults = fm != nullptr && fm->accum_active();
+  impl->stuck_faults = fm != nullptr && fm->stuck_enabled();
+  if (L <= 32 && !impl->accum_faults && !impl->stuck_faults) {
+    impl->slot_bits = std::max(8u, std::bit_ceil(static_cast<unsigned>(L)));
+    impl->pack = static_cast<int>(64 / impl->slot_bits);
+  }
+
   // ---- weight memory -> weight SNG streams (whole filter bank) ----------
   impl->wpos.assign(weights.size() * wpl, 0);
   impl->wneg.assign(weights.size() * wpl, 0);
@@ -789,17 +809,23 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
     telemetry::ScopedTimer t("machine.weight_streams", "machine",
                              {{"streams", static_cast<double>(
                                    weights.size())}});
-    // Each stream writes a disjoint slice of wpos/wneg and every fault site
+    // Each stream writes disjoint words of wpos/wneg and every fault site
     // is touched exactly once, so the fan-out is order-independent — byte-
-    // identical to the old nested serial loop at any thread count.
+    // identical to the old nested serial loop at any thread count. The walk
+    // follows the bank's (tap, channel) order so its stores stay sequential.
     const std::int64_t kw = shape.kw, kh = shape.kh, cin = shape.cin;
+    const std::int64_t K = impl->K, cout = shape.cout;
+    const int pack = impl->pack;
+    const unsigned slot_bits = impl->slot_bits;
     exec::parallel_for(
-        static_cast<std::int64_t>(weights.size()), [&](std::int64_t i) {
+        static_cast<std::int64_t>(weights.size()), [&](std::int64_t b) {
+          const int oc = static_cast<int>(b % cout);
+          const std::int64_t t = b / cout;
+          const std::int64_t i = oc * K + t;
           const std::size_t idx = static_cast<std::size_t>(i);
-          const int kx = static_cast<int>(i % kw);
-          const int ky = static_cast<int>((i / kw) % kh);
-          const int ic = static_cast<int>((i / (kw * kh)) % cin);
-          const int oc = static_cast<int>(i / (kw * kh * cin));
+          const int kx = static_cast<int>(t % kw);
+          const int ky = static_cast<int>((t / kw) % kh);
+          const int ic = static_cast<int>((t / (kw * kh)) % cin);
           const float w = std::clamp(weights[idx], -1.0f, 1.0f);
           std::uint32_t q =
               nn::quantize_unsigned(std::abs(w), cfg.value_bits);
@@ -807,11 +833,21 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
             q = fm->sram_read(q, cfg.value_bits,
                               fault::FaultModel::Site::kWeightSram, idx);
           const sc::SeedSpec spec = impl->alloc->weight({oc, ic, ky, kx});
-          generate_stream(
-              (w >= 0.0f ? &impl->wpos : &impl->wneg)->data() + idx * wpl,
-              wpl, static_cast<std::size_t>(L), cfg, spec, q, fm,
-              fault::FaultModel::Site::kWeightStream, idx,
-              impl->use_stream_table);
+          thread_local std::vector<std::uint64_t> stream;
+          stream.resize(wpl);
+          generate_stream(stream.data(), wpl, static_cast<std::size_t>(L),
+                          cfg, spec, q, fm,
+                          fault::FaultModel::Site::kWeightStream, idx,
+                          impl->use_stream_table);
+          std::uint64_t* bank = (w >= 0.0f ? impl->wpos : impl->wneg).data() +
+                                static_cast<std::size_t>(t * cout) * wpl +
+                                static_cast<std::size_t>(oc);
+          for (std::size_t k = 0; k < wpl; ++k) {
+            std::uint64_t word = 0;
+            for (int s = 0; s < pack; ++s)
+              word |= stream[k] << (static_cast<unsigned>(s) * slot_bits);
+            bank[k * static_cast<std::size_t>(cout)] = word;
+          }
         });
   }
 
@@ -849,10 +885,6 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
                 static_cast<std::size_t>(shape.hin) *
                 static_cast<std::size_t>(shape.win);
   }
-  impl->direct_accum = cfg.accum == nn::AccumMode::kFxp ||
-                       cfg.accum == nn::AccumMode::kApc;
-  impl->accum_faults = fm != nullptr && fm->accum_active();
-  impl->stuck_faults = fm != nullptr && fm->stuck_enabled();
 
   impl->pass_hist = &metrics.histogram("machine.pass");
   impl->gather_hist = &metrics.histogram("machine.act_gather");

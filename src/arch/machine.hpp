@@ -93,11 +93,12 @@ void apply_bn_relu(std::span<const std::int32_t> counters,
 // finishing is bit- and stat-identical to GeoMachine::try_run_conv.
 //
 // Execution: each pass of a tile gathers every window's activation words
-// once into a contiguous [taps][wpl] row (padded taps as zero words), then
-// reduces all of the tile's output channels against that row — one MAC
-// popcount (FXP/APC) or one OR sweep (OR/PBW/PBHW) per output. Runs with
-// accumulator-input or stuck-counter faults take the per-tap reference
-// reduction over the same row instead (see docs/SIMD.md).
+// once into a contiguous [taps][wpl] row (padded taps as zero words; at
+// L <= 32 several windows share a row, one per word slot), then reduces a
+// block of output channels per vector op against it, reading the
+// channel-blocked weight bank. Runs with accumulator-input or stuck-counter
+// faults gather unpacked rows and take the per-tap reference reduction
+// instead (see docs/SIMD.md).
 //
 // Thread-safety: distinct tiles may run concurrently (exec::
 // ParallelConvRunner does this) — tile outputs are disjoint, gathered rows

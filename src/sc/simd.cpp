@@ -31,14 +31,18 @@ struct Ops {
                                 std::size_t);
   std::uint64_t (*or_popcount)(const std::uint64_t*, const std::uint64_t*,
                                std::size_t);
-  std::int64_t (*mac_popcount)(const std::uint64_t*, const std::uint64_t*,
-                               const std::uint64_t*, std::size_t);
   void (*and_into)(std::uint64_t*, const std::uint64_t*, std::size_t);
   void (*or_into)(std::uint64_t*, const std::uint64_t*, std::size_t);
   void (*xor_into)(std::uint64_t*, const std::uint64_t*, std::size_t);
-  void (*or_and_into)(std::uint64_t*, const std::uint64_t*,
-                      const std::uint64_t*, std::size_t);
+  void (*packed_mac)(const std::uint64_t*, std::size_t, std::size_t,
+                     const std::uint64_t*, const std::uint64_t*, std::size_t,
+                     std::size_t, unsigned, std::int32_t*);
 };
+
+// Low-slot mask of a packed word: slot s of w is (w >> s * bits) & mask.
+constexpr std::uint64_t slot_mask(unsigned bits) noexcept {
+  return bits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+}
 
 // ------------------------------------------------------------ scalar
 
@@ -67,16 +71,6 @@ std::uint64_t or_popcount(const std::uint64_t* a, const std::uint64_t* b,
   return c;
 }
 
-std::int64_t mac_popcount(const std::uint64_t* a, const std::uint64_t* wp,
-                          const std::uint64_t* wn, std::size_t n) {
-  std::int64_t c = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    c += std::popcount(a[i] & wp[i]);
-    c -= std::popcount(a[i] & wn[i]);
-  }
-  return c;
-}
-
 void and_into(std::uint64_t* dst, const std::uint64_t* src, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] &= src[i];
 }
@@ -89,13 +83,31 @@ void xor_into(std::uint64_t* dst, const std::uint64_t* src, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] ^= src[i];
 }
 
-void or_and_into(std::uint64_t* dst, const std::uint64_t* a,
-                 const std::uint64_t* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] |= a[i] & b[i];
+void packed_mac(const std::uint64_t* row, std::size_t n, std::size_t lanes,
+                const std::uint64_t* wp, const std::uint64_t* wn,
+                std::size_t stride, std::size_t channels, unsigned slot_bits,
+                std::int32_t* out) {
+  const unsigned slots = 64 / slot_bits;
+  const std::uint64_t mask = slot_mask(slot_bits);
+  for (std::size_t c = 0; c < channels; ++c) {
+    std::int32_t* o = out + c * slots;
+    std::fill(o, o + slots, 0);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      std::uint64_t pos = 0, neg = 0;
+      for (std::size_t j = lane; j < n; j += lanes) {
+        pos |= row[j] & wp[j * stride + c];
+        neg |= row[j] & wn[j * stride + c];
+      }
+      for (unsigned s = 0; s < slots; ++s) {
+        o[s] += std::popcount((pos >> (s * slot_bits)) & mask);
+        o[s] -= std::popcount((neg >> (s * slot_bits)) & mask);
+      }
+    }
+  }
 }
 
-constexpr Ops kOps = {popcount, and_popcount, or_popcount, mac_popcount,
-                      and_into, or_into, xor_into, or_and_into};
+constexpr Ops kOps = {popcount, and_popcount, or_popcount, and_into,
+                      or_into, xor_into, packed_mac};
 
 }  // namespace scalar
 
@@ -192,37 +204,6 @@ __attribute__((target("avx2"))) std::uint64_t or_popcount(
   return out;
 }
 
-__attribute__((target("avx2"))) std::int64_t mac_popcount(
-    const std::uint64_t* a, const std::uint64_t* wp, const std::uint64_t* wn,
-    std::size_t n) {
-  __m256i pos = _mm256_setzero_si256();
-  __m256i neg = _mm256_setzero_si256();
-  std::size_t i = 0;
-  while (n - i >= 4) {
-    const std::size_t block = std::min<std::size_t>((n - i) / 4, 31);
-    __m256i accp = _mm256_setzero_si256();
-    __m256i accn = _mm256_setzero_si256();
-    for (std::size_t k = 0; k < block; ++k, i += 4) {
-      const __m256i act = loadu(a + i);
-      accp = _mm256_add_epi8(
-          accp, nibble_counts(_mm256_and_si256(act, loadu(wp + i))));
-      accn = _mm256_add_epi8(
-          accn, nibble_counts(_mm256_and_si256(act, loadu(wn + i))));
-    }
-    pos = _mm256_add_epi64(pos,
-                           _mm256_sad_epu8(accp, _mm256_setzero_si256()));
-    neg = _mm256_add_epi64(neg,
-                           _mm256_sad_epu8(accn, _mm256_setzero_si256()));
-  }
-  std::int64_t out = static_cast<std::int64_t>(hsum_epi64(pos)) -
-                     static_cast<std::int64_t>(hsum_epi64(neg));
-  for (; i < n; ++i) {
-    out += std::popcount(a[i] & wp[i]);
-    out -= std::popcount(a[i] & wn[i]);
-  }
-  return out;
-}
-
 __attribute__((target("avx2"))) void and_into(std::uint64_t* dst,
                                               const std::uint64_t* src,
                                               std::size_t n) {
@@ -253,21 +234,77 @@ __attribute__((target("avx2"))) void xor_into(std::uint64_t* dst,
   for (; i < n; ++i) dst[i] ^= src[i];
 }
 
-__attribute__((target("avx2"))) void or_and_into(std::uint64_t* dst,
-                                                 const std::uint64_t* a,
-                                                 const std::uint64_t* b,
-                                                 std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(dst + i),
-        _mm256_or_si256(loadu(dst + i),
-                        _mm256_and_si256(loadu(a + i), loadu(b + i))));
-  for (; i < n; ++i) dst[i] |= a[i] & b[i];
+// Four output channels per vector, one per 64-bit lane; kVecs vectors (4
+// or 8 channels) share each broadcast row word. A lane's OR result is
+// nibble-counted into per-byte counts, which defer their fold for up to 31
+// lanes (8 bits per byte per lane). The fold masks each window slot's
+// bytes and _mm256_sad_epu8 sums them per 64-bit lane, giving one count
+// per (channel, slot).
+template <unsigned kVecs>
+__attribute__((target("avx2"))) inline void packed_mac_block(
+    const std::uint64_t* row, std::size_t n, std::size_t lanes,
+    const std::uint64_t* wp, const std::uint64_t* wn, std::size_t stride,
+    unsigned slot_bits, std::int32_t* out) {
+  const unsigned slots = 64 / slot_bits;
+  const __m256i zero = _mm256_setzero_si256();
+  std::fill(out, out + 4 * kVecs * slots, 0);
+  std::size_t lane = 0;
+  while (lane < lanes) {
+    const std::size_t block = std::min<std::size_t>(lanes - lane, 31);
+    __m256i accp[kVecs], accn[kVecs];
+    for (unsigned v = 0; v < kVecs; ++v) accp[v] = accn[v] = zero;
+    for (std::size_t k = 0; k < block; ++k, ++lane) {
+      __m256i pos[kVecs], neg[kVecs];
+      for (unsigned v = 0; v < kVecs; ++v) pos[v] = neg[v] = zero;
+      for (std::size_t j = lane; j < n; j += lanes) {
+        const __m256i a = _mm256_set1_epi64x(static_cast<long long>(row[j]));
+        for (unsigned v = 0; v < kVecs; ++v) {
+          pos[v] = _mm256_or_si256(
+              pos[v], _mm256_and_si256(a, loadu(wp + j * stride + 4 * v)));
+          neg[v] = _mm256_or_si256(
+              neg[v], _mm256_and_si256(a, loadu(wn + j * stride + 4 * v)));
+        }
+      }
+      for (unsigned v = 0; v < kVecs; ++v) {
+        accp[v] = _mm256_add_epi8(accp[v], nibble_counts(pos[v]));
+        accn[v] = _mm256_add_epi8(accn[v], nibble_counts(neg[v]));
+      }
+    }
+    for (unsigned s = 0; s < slots; ++s) {
+      const __m256i mask = _mm256_set1_epi64x(
+          static_cast<long long>(slot_mask(slot_bits) << (s * slot_bits)));
+      for (unsigned v = 0; v < kVecs; ++v) {
+        alignas(32) std::int64_t counts[4];
+        _mm256_store_si256(
+            reinterpret_cast<__m256i*>(counts),
+            _mm256_sub_epi64(
+                _mm256_sad_epu8(_mm256_and_si256(accp[v], mask), zero),
+                _mm256_sad_epu8(_mm256_and_si256(accn[v], mask), zero)));
+        for (std::size_t i = 0; i < 4; ++i)
+          out[(4 * v + i) * slots + s] += static_cast<std::int32_t>(counts[i]);
+      }
+    }
+  }
 }
 
-constexpr Ops kOps = {popcount, and_popcount, or_popcount, mac_popcount,
-                      and_into, or_into, xor_into, or_and_into};
+__attribute__((target("avx2"))) void packed_mac(
+    const std::uint64_t* row, std::size_t n, std::size_t lanes,
+    const std::uint64_t* wp, const std::uint64_t* wn, std::size_t stride,
+    std::size_t channels, unsigned slot_bits, std::int32_t* out) {
+  const std::size_t slots = 64 / slot_bits;
+  std::size_t c = 0;
+  for (; c + 8 <= channels; c += 8)
+    packed_mac_block<2>(row, n, lanes, wp + c, wn + c, stride, slot_bits,
+                        out + c * slots);
+  for (; c + 4 <= channels; c += 4)
+    packed_mac_block<1>(row, n, lanes, wp + c, wn + c, stride, slot_bits,
+                        out + c * slots);
+  scalar::packed_mac(row, n, lanes, wp + c, wn + c, stride, channels - c,
+                     slot_bits, out + c * slots);
+}
+
+constexpr Ops kOps = {popcount, and_popcount, or_popcount, and_into,
+                      or_into, xor_into, packed_mac};
 
 }  // namespace avx2
 
@@ -321,24 +358,6 @@ std::uint64_t or_popcount(const std::uint64_t* a, const std::uint64_t* b,
   return out;
 }
 
-std::int64_t mac_popcount(const std::uint64_t* a, const std::uint64_t* wp,
-                          const std::uint64_t* wn, std::size_t n) {
-  std::int64_t out = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t act = vld1q_u64(a + i);
-    out += static_cast<std::int64_t>(
-        fold_count(vreinterpretq_u8_u64(vandq_u64(act, vld1q_u64(wp + i)))));
-    out -= static_cast<std::int64_t>(
-        fold_count(vreinterpretq_u8_u64(vandq_u64(act, vld1q_u64(wn + i)))));
-  }
-  for (; i < n; ++i) {
-    out += std::popcount(a[i] & wp[i]);
-    out -= std::popcount(a[i] & wn[i]);
-  }
-  return out;
-}
-
 void and_into(std::uint64_t* dst, const std::uint64_t* src, std::size_t n) {
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2)
@@ -360,18 +379,51 @@ void xor_into(std::uint64_t* dst, const std::uint64_t* src, std::size_t n) {
   for (; i < n; ++i) dst[i] ^= src[i];
 }
 
-void or_and_into(std::uint64_t* dst, const std::uint64_t* a,
-                 const std::uint64_t* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    vst1q_u64(dst + i,
-              vorrq_u64(vld1q_u64(dst + i),
-                        vandq_u64(vld1q_u64(a + i), vld1q_u64(b + i))));
-  for (; i < n; ++i) dst[i] |= a[i] & b[i];
+// Two output channels per vector; the AVX2 kernel's structure with
+// vcntq_u8 per-byte counts and a pairwise-widen fold per window slot.
+void packed_mac(const std::uint64_t* row, std::size_t n, std::size_t lanes,
+                const std::uint64_t* wp, const std::uint64_t* wn,
+                std::size_t stride, std::size_t channels, unsigned slot_bits,
+                std::int32_t* out) {
+  const unsigned slots = 64 / slot_bits;
+  std::size_t c = 0;
+  for (; c + 2 <= channels; c += 2) {
+    std::int32_t* o = out + c * slots;
+    std::fill(o, o + 2 * slots, 0);
+    std::size_t lane = 0;
+    while (lane < lanes) {
+      const std::size_t block = std::min<std::size_t>(lanes - lane, 31);
+      uint8x16_t accp = vdupq_n_u8(0), accn = vdupq_n_u8(0);
+      for (std::size_t k = 0; k < block; ++k, ++lane) {
+        uint64x2_t pos = vdupq_n_u64(0), neg = vdupq_n_u64(0);
+        for (std::size_t j = lane; j < n; j += lanes) {
+          const uint64x2_t a = vdupq_n_u64(row[j]);
+          pos = vorrq_u64(pos, vandq_u64(a, vld1q_u64(wp + j * stride + c)));
+          neg = vorrq_u64(neg, vandq_u64(a, vld1q_u64(wn + j * stride + c)));
+        }
+        accp = vaddq_u8(accp, vcntq_u8(vreinterpretq_u8_u64(pos)));
+        accn = vaddq_u8(accn, vcntq_u8(vreinterpretq_u8_u64(neg)));
+      }
+      for (unsigned s = 0; s < slots; ++s) {
+        const uint8x16_t mask = vreinterpretq_u8_u64(
+            vdupq_n_u64(slot_mask(slot_bits) << (s * slot_bits)));
+        const uint64x2_t p =
+            vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(vandq_u8(accp, mask))));
+        const uint64x2_t q =
+            vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(vandq_u8(accn, mask))));
+        const int64x2_t d =
+            vsubq_s64(vreinterpretq_s64_u64(p), vreinterpretq_s64_u64(q));
+        o[s] += static_cast<std::int32_t>(vgetq_lane_s64(d, 0));
+        o[slots + s] += static_cast<std::int32_t>(vgetq_lane_s64(d, 1));
+      }
+    }
+  }
+  scalar::packed_mac(row, n, lanes, wp + c, wn + c, stride, channels - c,
+                     slot_bits, out + c * slots);
 }
 
-constexpr Ops kOps = {popcount, and_popcount, or_popcount, mac_popcount,
-                      and_into, or_into, xor_into, or_and_into};
+constexpr Ops kOps = {popcount, and_popcount, or_popcount, and_into,
+                      or_into, xor_into, packed_mac};
 
 }  // namespace neon
 
@@ -509,11 +561,6 @@ std::uint64_t or_popcount(const std::uint64_t* a, const std::uint64_t* b,
   return ops().or_popcount(a, b, n);
 }
 
-std::int64_t mac_popcount(const std::uint64_t* a, const std::uint64_t* wp,
-                          const std::uint64_t* wn, std::size_t n) noexcept {
-  return ops().mac_popcount(a, wp, wn, n);
-}
-
 void and_into(std::uint64_t* dst, const std::uint64_t* src,
               std::size_t n) noexcept {
   ops().and_into(dst, src, n);
@@ -529,9 +576,11 @@ void xor_into(std::uint64_t* dst, const std::uint64_t* src,
   ops().xor_into(dst, src, n);
 }
 
-void or_and_into(std::uint64_t* dst, const std::uint64_t* a,
-                 const std::uint64_t* b, std::size_t n) noexcept {
-  ops().or_and_into(dst, a, b, n);
+void packed_mac(const std::uint64_t* row, std::size_t n, std::size_t lanes,
+                const std::uint64_t* wp, const std::uint64_t* wn,
+                std::size_t stride, std::size_t channels, unsigned slot_bits,
+                std::int32_t* out) noexcept {
+  ops().packed_mac(row, n, lanes, wp, wn, stride, channels, slot_bits, out);
 }
 
 ScopedSimdBackend::ScopedSimdBackend(Backend backend) : previous_(active()) {

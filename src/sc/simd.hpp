@@ -3,8 +3,8 @@
 // Every SC execution consumer — the machine's MAC inner loop, sc::ops,
 // the parallel counters, and the correlation statistics — reduces to a
 // handful of word-parallel kernels over packed 64-bit stream words:
-// AND-popcount MAC reduction, OR/XOR/AND block ops, and fused
-// OR-accumulate-of-products. This header is the one dispatch point for
+// AND/OR popcount reductions, OR/XOR/AND block ops, and the machine's
+// channel-blocked, window-packed MAC. This header is the one dispatch point for
 // those kernels: an AVX2 backend (x86-64), a NEON backend (aarch64), and a
 // scalar fallback that is the reference implementation everywhere else.
 //
@@ -56,11 +56,6 @@ std::uint64_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,
 std::uint64_t or_popcount(const std::uint64_t* a, const std::uint64_t* b,
                           std::size_t n) noexcept;
 
-// The signed MAC reduction: popcount(a & wp) - popcount(a & wn) over n
-// words, one pass over `a` (split-unipolar positive/negative weight pair).
-std::int64_t mac_popcount(const std::uint64_t* a, const std::uint64_t* wp,
-                          const std::uint64_t* wn, std::size_t n) noexcept;
-
 // ---- block ops -----------------------------------------------------------
 
 void and_into(std::uint64_t* dst, const std::uint64_t* src,
@@ -70,10 +65,24 @@ void or_into(std::uint64_t* dst, const std::uint64_t* src,
 void xor_into(std::uint64_t* dst, const std::uint64_t* src,
               std::size_t n) noexcept;
 
-// dst |= a & b over n words — the OR-accumulation of one product stream
-// into its group accumulator, fused so the product is never materialized.
-void or_and_into(std::uint64_t* dst, const std::uint64_t* a,
-                 const std::uint64_t* b, std::size_t n) noexcept;
+// ---- channel-blocked short-stream MAC -------------------------------------
+
+// The machine's clean MAC: one gathered activation row against a block of
+// output channels. `row` holds n words; output channel c's weight for row
+// word j is wp[j * stride + c] (wn likewise), so consecutive channels sit
+// side by side and one vector op covers several of them. Row word j feeds
+// lane j % lanes, and each lane ORs its product words: the OR / PBW / PBHW
+// accumulator groups. With lanes == n every product is its own lane, which
+// is the FXP / APC counting MAC. Every 64-bit word packs 64 / slot_bits
+// independent windows (slot_bits in {8, 16, 32, 64}), one per slot, so for
+// c < channels and slot s:
+//   out[c * slots + s] = Σ_lane popcount(slot s of OR_lane(row & wp))
+//                      − Σ_lane popcount(slot s of OR_lane(row & wn)).
+// Requires lanes >= 1 and stride >= channels.
+void packed_mac(const std::uint64_t* row, std::size_t n, std::size_t lanes,
+                const std::uint64_t* wp, const std::uint64_t* wn,
+                std::size_t stride, std::size_t channels, unsigned slot_bits,
+                std::int32_t* out) noexcept;
 
 // ---- test hook -----------------------------------------------------------
 

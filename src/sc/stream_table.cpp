@@ -53,6 +53,27 @@ std::uint32_t progressive_effective(std::uint32_t value, unsigned loaded,
   return msbs << (lb - kept);
 }
 
+// The registry's telemetry counters, resolved once: every generated stream
+// passes through acquire(), and a by-name lookup takes the metrics
+// registry's mutex. Counters live as long as the metrics registry and
+// MetricsRegistry::reset() zeroes them in place, so the references stay
+// valid.
+struct TableCounters {
+  telemetry::Counter& hits;
+  telemetry::Counter& misses;
+  telemetry::Counter& fallbacks;
+  telemetry::Counter& build_ns;
+};
+
+TableCounters& table_counters() {
+  auto& m = telemetry::MetricsRegistry::instance();
+  static TableCounters c{m.counter("machine.stream_table_hits"),
+                         m.counter("machine.stream_table_misses"),
+                         m.counter("machine.stream_table_fallbacks"),
+                         m.counter("machine.stream_table_build_ns")};
+  return c;
+}
+
 }  // namespace
 
 bool stream_table_enabled() {
@@ -160,11 +181,11 @@ std::optional<StreamTableKey> StreamTableRegistry::canonical_key(
 const StreamTable* StreamTableRegistry::acquire(RngKind kind,
                                                 const SeedSpec& spec,
                                                 std::size_t length) {
-  auto& metrics = telemetry::MetricsRegistry::instance();
+  TableCounters& metrics = table_counters();
   const auto key = canonical_key(kind, spec, length);
   if (!key.has_value()) {
     fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    metrics.counter("machine.stream_table_fallbacks").add(1);
+    metrics.fallbacks.add(1);
     return nullptr;
   }
 
@@ -202,7 +223,7 @@ const StreamTable* StreamTableRegistry::acquire(RngKind kind,
             build_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                            t1 - t0)
                            .count();
-            metrics.counter("machine.stream_table_build_ns").add(build_ns);
+            metrics.build_ns.add(build_ns);
             publish = 2;
           } catch (...) {
             bytes_.fetch_sub(need, std::memory_order_relaxed);
@@ -223,11 +244,11 @@ const StreamTable* StreamTableRegistry::acquire(RngKind kind,
             publish == 2 ? std::string_view{} : "budget");
       if (publish == 2) {
         misses_.fetch_add(1, std::memory_order_relaxed);
-        metrics.counter("machine.stream_table_misses").add(1);
+        metrics.misses.add(1);
         return &entry->table;
       }
       fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      metrics.counter("machine.stream_table_fallbacks").add(1);
+      metrics.fallbacks.add(1);
       return nullptr;
     }
     state = expected;
@@ -246,11 +267,11 @@ const StreamTable* StreamTableRegistry::acquire(RngKind kind,
   }
   if (state == 2) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    metrics.counter("machine.stream_table_hits").add(1);
+    metrics.hits.add(1);
     return &entry->table;
   }
   fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  metrics.counter("machine.stream_table_fallbacks").add(1);
+  metrics.fallbacks.add(1);
   return nullptr;
 }
 

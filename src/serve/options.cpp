@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "core/env.hpp"
+#include "telemetry/journal.hpp"
 
 namespace geo::serve {
 
@@ -23,6 +24,9 @@ resilience::Rung steer_from_env() {
                "geo: GEO_SERVE_STEER='%s' is not pbw|fxp|reference; "
                "using reference\n",
                raw);
+  if (auto& journal = telemetry::Journal::instance(); journal.enabled())
+    journal.record("config.invalid", "GEO_SERVE_STEER", {},
+                   "is not pbw|fxp|reference");
   return resilience::Rung::kReference;
 }
 

@@ -247,9 +247,14 @@ class InferenceServer {
       quarantines_{0}, probes_{0}, readmits_{0}, batches_{0},
       batched_requests_{0};
 
-  // Shared with detached prewarm tasks on exec::AsyncLane::io(), which may
-  // outlive this server — they capture the shared_ptr, never `this`.
-  std::shared_ptr<PrewarmCounters> prewarm_;
+  // Updated by the prewarm tasks on exec::AsyncLane::io().
+  std::unique_ptr<PrewarmCounters> prewarm_;
+  // Prewarm tasks not yet known to be finished (guarded by mu_). The
+  // destructor waits for them, so they never outlive the counters; and
+  // since the io lane lives for the process, an unawaited task could
+  // still touch the metrics and stream-table singletons while static
+  // destructors run at exit.
+  std::vector<std::future<void>> prewarm_tasks_;
 
   std::vector<std::thread> workers_;
 };

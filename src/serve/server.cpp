@@ -62,9 +62,7 @@ struct InferenceServer::Pending {
   }
 };
 
-// Prewarm bookkeeping shared with detached exec::AsyncLane::io() tasks: a
-// task may complete after the server is gone, so it holds this shared_ptr,
-// never the server.
+// Prewarm bookkeeping updated by the server's exec::AsyncLane::io() tasks.
 struct InferenceServer::PrewarmCounters {
   std::atomic<std::int64_t> scheduled{0};
   std::atomic<std::int64_t> pins{0};
@@ -101,7 +99,7 @@ InferenceServer::InferenceServer(const arch::HwConfig& hw,
   m.histogram("serve.exec_us");
   m.histogram("serve.latency_us");
   m.histogram("serve.batch_occupancy");
-  prewarm_ = std::make_shared<PrewarmCounters>();
+  prewarm_ = std::make_unique<PrewarmCounters>();
   journal_event("serve.start", "server", {}, options_.to_string());
   workers_.reserve(static_cast<std::size_t>(options_.replicas));
   for (int r = 0; r < options_.replicas; ++r)
@@ -116,6 +114,8 @@ InferenceServer::~InferenceServer() {
   }
   cv_.notify_all();
   for (std::thread& t : workers_) t.join();
+  // Workers are gone, so no new prewarm can be scheduled.
+  for (std::future<void>& task : prewarm_tasks_) task.wait();
   journal_event("serve.stop", "server",
                 {{"completed", static_cast<double>(
                                    completed_.load(std::memory_order_relaxed))}});
@@ -665,20 +665,23 @@ void InferenceServer::serve_batch(int replica,
 }
 
 void InferenceServer::schedule_prewarm(const Request& req) {
-  // Called under mu_ from submit(). The task captures values and shared
-  // ownership only — never `this` — so a server torn down with prewarms
-  // still in the lane is safe; the counters outlive it.
+  // Called under mu_ from submit(). The task captures values and the
+  // counters, never `this`; the destructor waits for it. Finished tasks
+  // are dropped here so the list stays as short as the lane's queue.
+  std::erase_if(prewarm_tasks_, [](const std::future<void>& task) {
+    return task.wait_for(std::chrono::seconds(0)) ==
+           std::future_status::ready;
+  });
   prewarm_->scheduled.fetch_add(1, std::memory_order_relaxed);
   telemetry::MetricsRegistry::instance().counter("serve.prewarm").add();
-  std::shared_ptr<PrewarmCounters> counters = prewarm_;
+  PrewarmCounters* counters = prewarm_.get();
   std::shared_ptr<store::WeightStore> store =
       req.store_layer.empty() ? nullptr : store_;
   const arch::HwConfig hw = hw_;
   const arch::ConvShape shape = req.shape;
   const std::uint64_t salt = req.layer_salt;
   const std::string store_layer = req.store_layer;
-  exec::AsyncLane::io().submit([counters, store, hw, shape, salt,
-                                store_layer] {
+  auto task = [counters, store, hw, shape, salt, store_layer] {
     auto& metrics = telemetry::MetricsRegistry::instance();
     if (store != nullptr) {
       // Pinning loads + verifies the layer's blocks into the store cache;
@@ -722,7 +725,8 @@ void InferenceServer::schedule_prewarm(const Request& req) {
       counters->tables.fetch_add(acquired, std::memory_order_relaxed);
       metrics.counter("serve.prewarm_tables").add(acquired);
     }
-  });
+  };
+  prewarm_tasks_.push_back(exec::AsyncLane::io().submit(std::move(task)));
 }
 
 void InferenceServer::respond(std::unique_ptr<Pending> p, Response resp) {

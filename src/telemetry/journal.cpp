@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -42,15 +43,29 @@ std::string args_to_json(std::initializer_list<JournalArg> args) {
   return obj.dump(0);
 }
 
-std::size_t env_capacity() {
-  const char* raw = std::getenv("GEO_JOURNAL_CAP");
-  if (raw == nullptr || raw[0] == '\0') return kDefaultCapacity;
+// GEO_JOURNAL_CAP, fail-closed like core::env_int: unset or empty keeps the
+// default; a malformed value, or one outside [16, 2^22], is rejected and the
+// default is used. `rejected` names the reason for the caller to report.
+struct CapacityKnob {
+  std::size_t capacity = kDefaultCapacity;
+  const char* raw = nullptr;
+  const char* rejected = nullptr;
+};
+
+CapacityKnob env_capacity() {
+  CapacityKnob knob;
+  knob.raw = std::getenv("GEO_JOURNAL_CAP");
+  if (knob.raw == nullptr || knob.raw[0] == '\0') return knob;
   char* end = nullptr;
-  const long long v = std::strtoll(raw, &end, 10);
-  if (end == raw || *end != '\0' || v < 16 ||
-      v > static_cast<long long>(kMaxCapacity))
-    return kDefaultCapacity;
-  return static_cast<std::size_t>(v);
+  errno = 0;
+  const long long v = std::strtoll(knob.raw, &end, 10);
+  if (end == knob.raw || *end != '\0' || errno == ERANGE)
+    knob.rejected = "is not an integer";
+  else if (v < 16 || v > static_cast<long long>(kMaxCapacity))
+    knob.rejected = "is out of range [16, 4194304]";
+  else
+    knob.capacity = static_cast<std::size_t>(v);
+  return knob;
 }
 
 // ---- fatal-signal flush ----------------------------------------------------
@@ -111,10 +126,18 @@ Journal& Journal::instance() {
   return journal;
 }
 
-Journal::Journal() : capacity_(env_capacity()) {
+Journal::Journal() {
+  const CapacityKnob cap = env_capacity();
+  capacity_ = cap.capacity;
   if (const char* path = std::getenv("GEO_JOURNAL");
       path != nullptr && path[0] != '\0')
     enable(path);
+  if (cap.rejected != nullptr) {
+    std::fprintf(stderr, "[geo] GEO_JOURNAL_CAP='%s' %s; using %zu\n",
+                 cap.raw, cap.rejected, kDefaultCapacity);
+    // Recorded on this journal directly: instance() is still constructing.
+    record("config.invalid", "GEO_JOURNAL_CAP", {}, cap.rejected);
+  }
 }
 
 Journal::~Journal() { flush(); }

@@ -8,7 +8,9 @@
 //   accum   accum-input flips + stuck counter column -> per-tap reduction
 // Small `macs_per_row` values slice kernels mid-group (tap_lo % kw != 0),
 // small `rows` leave cout % rows != 0, and the window groups come out
-// ragged; the test asserts that its cases really hit those corners.
+// ragged; at L <= 32 several windows share a packed word and the last word
+// of a pass is often partly filled. The test asserts that its cases really
+// hit those corners; PackedWordCorners pins the packing corners directly.
 //
 // The nn layer computes a whole kernel at once, while the machine adds one
 // count per kernel slice. The reference for a sliced layer is therefore the
@@ -176,8 +178,9 @@ class GatheredMac : public ::testing::TestWithParam<nn::AccumMode> {};
 
 TEST_P(GatheredMac, MatchesScConv2dOnRandomLayers) {
   const nn::AccumMode accum = GetParam();
-  int mid_group = 0, ragged_channels = 0, ragged_windows = 0, padded = 0;
-  for (const int L : {32, 64, 128}) {
+  int mid_group = 0, ragged_channels = 0, ragged_windows = 0, padded = 0,
+      partial_words = 0;
+  for (const int L : {8, 16, 32, 64, 128}) {
     std::mt19937 rng(1000u * static_cast<unsigned>(accum) +
                      static_cast<unsigned>(L));
     for (int n = 0; n < 8; ++n) {
@@ -191,6 +194,7 @@ TEST_P(GatheredMac, MatchesScConv2dOnRandomLayers) {
           s, arch::Compiler(c.hw).natural_dataflow());
       ragged_windows += (s.hout() * s.wout()) % plan.windows_per_pass != 0;
       padded += s.pad > 0;
+      partial_words += L <= 32 && plan.windows_per_pass % (64 / L) != 0;
 
       {
         ScopedFaultInjection off(nullptr);  // shield from ambient GEO_FAULTS
@@ -220,6 +224,65 @@ TEST_P(GatheredMac, MatchesScConv2dOnRandomLayers) {
   EXPECT_GT(ragged_channels, 0);
   EXPECT_GT(ragged_windows, 0);
   EXPECT_GT(padded, 0);
+  EXPECT_GT(partial_words, 0);
+}
+
+// Window packing corners at every packed stream length (L <= 32 puts
+// 64 / max(L, 8) windows in a word): odd windows per pass, so the last
+// word of a tile is partly filled; output channel counts that are not a
+// multiple of any vector's channel block (2 or 4), so the kernels' scalar
+// tail runs; and a 2x2 input under a 3x3 kernel with pad 1, where every
+// window of every word has padded taps. Each runs clean and under SRAM
+// faults (both packed) against one whole-kernel nn run.
+TEST_P(GatheredMac, PackedWordCorners) {
+  struct Corner {
+    int cin, cout, hw_in, k, pad, rows, windows_per_row;
+  };
+  const Corner corners[] = {
+      {2, 5, 2, 3, 1, 8, 3},    // all windows padded; 3 + 1 windows/tile
+      {3, 13, 6, 3, 1, 16, 5},  // 13 channels: 4-block tail of 1
+      {1, 7, 5, 2, 0, 7, 7},    // 7 windows/pass, 7 channels
+      {2, 3, 4, 1, 0, 3, 3},    // 1x1 kernel, 3 windows/pass
+  };
+  for (const int L : {8, 16, 32}) {
+    std::mt19937 rng(77u + static_cast<unsigned>(L));
+    for (const Corner& k : corners) {
+      Case c = random_case(rng, GetParam(), L);
+      ConvShape& s = c.shape;
+      s.cin = k.cin;
+      s.cout = k.cout;
+      s.hin = s.win = k.hw_in;
+      s.kh = s.kw = k.k;
+      s.stride = 1;
+      s.pad = k.pad;
+      c.hw.rows = k.rows;
+      c.hw.windows_per_row = k.windows_per_row;
+      c.hw.macs_per_row = s.taps() * k.windows_per_row;
+      std::uniform_real_distribution<float> wdist(-0.9f, 0.9f);
+      std::uniform_real_distribution<float> adist(0.0f, 1.0f);
+      c.weights.resize(static_cast<std::size_t>(s.weights()));
+      for (auto& w : c.weights) w = wdist(rng);
+      c.input.resize(static_cast<std::size_t>(s.activations()));
+      for (auto& a : c.input) a = adist(rng);
+      c.ones.assign(static_cast<std::size_t>(s.cout), 1.0f);
+      c.zeros.assign(static_cast<std::size_t>(s.cout), 0.0f);
+      SCOPED_TRACE(describe(c));
+      const arch::LayerPlan plan = arch::Compiler(c.hw).plan_layer(
+          s, arch::Compiler(c.hw).natural_dataflow());
+      ASSERT_EQ(plan.windows_per_pass % 2, 1);
+      ASSERT_EQ(plan.kernel_slices, 1);
+      {
+        ScopedFaultInjection off(nullptr);
+        EXPECT_EQ(machine_counts(c, c.hw), nn_counts(c, c.hw, 0, s.taps()))
+            << "clean";
+      }
+      {
+        ScopedFaultInjection inject(sram_faults(rng()));
+        EXPECT_EQ(machine_counts(c, c.hw), nn_counts(c, c.hw, 0, s.taps()))
+            << "sram faults";
+      }
+    }
+  }
 }
 
 // 96-bit streams: the LFSR width is matched to the stream length, so only

@@ -44,17 +44,13 @@ TEST(SimdKernels, ReductionParityAcrossBackends) {
   for (const std::size_t n : kSizes) {
     const auto a = random_words(n, 0x9e3779b97f4a7c15ull + n);
     const auto p = random_words(n, 0xbf58476d1ce4e5b9ull + n);
-    const auto q = random_words(n, 0x94d049bb133111ebull + n);
 
     // Independent scalar reference.
     std::uint64_t ref_pop = 0, ref_and = 0, ref_or = 0;
-    std::int64_t ref_mac = 0;
     for (std::size_t i = 0; i < n; ++i) {
       ref_pop += static_cast<std::uint64_t>(std::popcount(a[i]));
       ref_and += static_cast<std::uint64_t>(std::popcount(a[i] & p[i]));
       ref_or += static_cast<std::uint64_t>(std::popcount(a[i] | p[i]));
-      ref_mac += std::popcount(a[i] & p[i]);
-      ref_mac -= std::popcount(a[i] & q[i]);
     }
 
     for (const Backend b : backends_under_test()) {
@@ -66,8 +62,6 @@ TEST(SimdKernels, ReductionParityAcrossBackends) {
           << to_string(b) << " n=" << n;
       EXPECT_EQ(or_popcount(a.data(), p.data(), n), ref_or)
           << to_string(b) << " n=" << n;
-      EXPECT_EQ(mac_popcount(a.data(), p.data(), q.data(), n), ref_mac)
-          << to_string(b) << " n=" << n;
     }
   }
 }
@@ -76,47 +70,92 @@ TEST(SimdKernels, BlockOpParityAcrossBackends) {
   for (const std::size_t n : kSizes) {
     const auto base = random_words(n, 17 + n);
     const auto src = random_words(n, 31 + n);
-    const auto aux = random_words(n, 47 + n);
 
-    std::vector<std::uint64_t> ref_and(n), ref_or(n), ref_xor(n),
-        ref_or_and(n);
+    std::vector<std::uint64_t> ref_and(n), ref_or(n), ref_xor(n);
     for (std::size_t i = 0; i < n; ++i) {
       ref_and[i] = base[i] & src[i];
       ref_or[i] = base[i] | src[i];
       ref_xor[i] = base[i] ^ src[i];
-      ref_or_and[i] = base[i] | (src[i] & aux[i]);
     }
 
     for (const Backend b : backends_under_test()) {
       ScopedSimdBackend scope(b);
-      auto d1 = base, d2 = base, d3 = base, d4 = base;
+      auto d1 = base, d2 = base, d3 = base;
       and_into(d1.data(), src.data(), n);
       or_into(d2.data(), src.data(), n);
       xor_into(d3.data(), src.data(), n);
-      or_and_into(d4.data(), src.data(), aux.data(), n);
       EXPECT_EQ(d1, ref_and) << to_string(b) << " n=" << n;
       EXPECT_EQ(d2, ref_or) << to_string(b) << " n=" << n;
       EXPECT_EQ(d3, ref_xor) << to_string(b) << " n=" << n;
-      EXPECT_EQ(d4, ref_or_and) << to_string(b) << " n=" << n;
     }
   }
 }
 
-TEST(SimdKernels, MacEqualsSplitAndPopcounts) {
-  // The fused signed MAC must equal its two-call decomposition on every
-  // backend (one pass over `a` is an optimization, not a semantic change).
-  for (const std::size_t n : {std::size_t{5}, std::size_t{64},
-                              std::size_t{125}}) {
-    const auto a = random_words(n, 1000 + n);
-    const auto wp = random_words(n, 2000 + n);
-    const auto wn = random_words(n, 3000 + n);
-    for (const Backend b : backends_under_test()) {
-      ScopedSimdBackend scope(b);
-      const std::int64_t split =
-          static_cast<std::int64_t>(and_popcount(a.data(), wp.data(), n)) -
-          static_cast<std::int64_t>(and_popcount(a.data(), wn.data(), n));
-      EXPECT_EQ(mac_popcount(a.data(), wp.data(), wn.data(), n), split)
-          << to_string(b) << " n=" << n;
+// packed_mac reference, written slot-first: extract each window's slot from
+// every word, then OR per lane and count — independent of the kernels'
+// whole-word OR and per-byte folding.
+std::vector<std::int32_t> packed_mac_reference(
+    const std::vector<std::uint64_t>& row, std::size_t lanes,
+    const std::vector<std::uint64_t>& wp,
+    const std::vector<std::uint64_t>& wn, std::size_t stride,
+    std::size_t channels, unsigned slot_bits) {
+  const unsigned slots = 64 / slot_bits;
+  const std::uint64_t mask =
+      slot_bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << slot_bits) - 1;
+  std::vector<std::int32_t> out(channels * slots, 0);
+  for (std::size_t c = 0; c < channels; ++c)
+    for (unsigned s = 0; s < slots; ++s)
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        std::uint64_t pos = 0, neg = 0;
+        for (std::size_t j = lane; j < row.size(); j += lanes) {
+          const std::uint64_t a = (row[j] >> (s * slot_bits)) & mask;
+          pos |= a & ((wp[j * stride + c] >> (s * slot_bits)) & mask);
+          neg |= a & ((wn[j * stride + c] >> (s * slot_bits)) & mask);
+        }
+        out[c * slots + s] += std::popcount(pos) - std::popcount(neg);
+      }
+  return out;
+}
+
+// Adversarial packed_mac shapes: every slot width, channel counts around
+// the vector widths (2 on NEON, 4 on AVX2) so the scalar tail runs, lane
+// counts around the 31-lane per-byte fold, and dense all-ones words that
+// drive every byte count to its maximum before a fold.
+TEST(SimdKernels, PackedMacParityAcrossBackends) {
+  const std::size_t row_sizes[] = {1, 2, 3, 5, 31, 32, 33, 64, 125, 200};
+  const std::size_t channel_counts[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 13};
+  std::mt19937_64 rng(0x5eed);
+  for (const unsigned slot_bits : {8u, 16u, 32u, 64u}) {
+    for (const std::size_t n : row_sizes) {
+      for (std::size_t lanes : {std::size_t{1}, std::size_t{2},
+                                std::size_t{3}, std::size_t{31},
+                                std::size_t{32}, std::size_t{33}, n}) {
+        if (lanes > n) continue;
+        for (const std::size_t channels : channel_counts) {
+          for (const bool dense : {false, true}) {
+            const std::size_t stride = channels + 3;
+            std::vector<std::uint64_t> row(n), wp(n * stride), wn(n * stride);
+            for (auto* v : {&row, &wp, &wn})
+              for (auto& x : *v) x = dense ? ~std::uint64_t{0} : rng();
+            if (dense)  // keep neg lighter so pos − neg stays nonzero
+              for (auto& x : wn) x &= 0x0f0f0f0f0f0f0f0full;
+            const std::vector<std::int32_t> ref = packed_mac_reference(
+                row, lanes, wp, wn, stride, channels, slot_bits);
+            for (const Backend b : backends_under_test()) {
+              ScopedSimdBackend scope(b);
+              std::vector<std::int32_t> out(ref.size() + 1, -7);
+              packed_mac(row.data(), n, lanes, wp.data(), wn.data(), stride,
+                         channels, slot_bits, out.data());
+              EXPECT_EQ(out.back(), -7) << "wrote past channels * slots";
+              out.pop_back();
+              EXPECT_EQ(out, ref)
+                  << to_string(b) << " slot_bits=" << slot_bits << " n=" << n
+                  << " lanes=" << lanes << " channels=" << channels
+                  << " dense=" << dense;
+            }
+          }
+        }
+      }
     }
   }
 }

@@ -332,6 +332,32 @@ TEST(StreamTableRegistry, StatsCountHitsAndMisses) {
   EXPECT_GE(metrics.counter("machine.stream_table_build_ns").value(), 0);
 }
 
+// acquire() resolves its telemetry counters once; a metrics reset or a
+// registry clear must not detach them from the registry's snapshot.
+TEST(StreamTableRegistry, TelemetryCountsSurviveResetAndClear) {
+  auto& reg = StreamTableRegistry::instance();
+  auto& metrics = telemetry::MetricsRegistry::instance();
+  const SeedSpec spec{8, 777, 0};
+  reg.clear();
+  ASSERT_NE(reg.acquire(RngKind::kLfsr, spec, 128), nullptr);  // warm
+
+  metrics.reset();
+  ASSERT_NE(reg.acquire(RngKind::kLfsr, spec, 128), nullptr);
+  ASSERT_NE(reg.acquire(RngKind::kLfsr, spec, 128), nullptr);
+  EXPECT_EQ(metrics.counter("machine.stream_table_hits").value(), 2);
+  EXPECT_EQ(metrics.counter("machine.stream_table_misses").value(), 0);
+
+  reg.clear();
+  ASSERT_NE(reg.acquire(RngKind::kLfsr, spec, 128), nullptr);  // rebuild
+  ASSERT_NE(reg.acquire(RngKind::kLfsr, spec, 128), nullptr);
+  EXPECT_EQ(metrics.counter("machine.stream_table_hits").value(), 3);
+  EXPECT_EQ(metrics.counter("machine.stream_table_misses").value(), 1);
+  double snapshot_hits = -1;
+  for (const telemetry::MetricSnapshot& m : metrics.snapshot())
+    if (m.name == "machine.stream_table_hits") snapshot_hits = m.value;
+  EXPECT_EQ(snapshot_hits, 3);
+}
+
 // Many threads race one cold key: exactly one build may happen, every
 // waiter must observe the fully published table, and every generated stream
 // must equal the tick reference.

@@ -4,16 +4,21 @@
 // domain, so the suite is runnable under the chaos CI job unchanged.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <filesystem>
 #include <future>
 #include <random>
 #include <thread>
 #include <vector>
 
 #include "arch/machine.hpp"
+#include "exec/async_lane.hpp"
 #include "fault/fault_model.hpp"
 #include "resilience/resilience.hpp"
 #include "serve/serve.hpp"
+#include "telemetry/journal.hpp"
 
 namespace geo::serve {
 namespace {
@@ -96,6 +101,27 @@ TEST(ServeOptions, ValidateAndHighWaterResolution) {
   bad = ServeOptions{};
   bad.steer_rung = resilience::Rung::kNative;
   EXPECT_FALSE(bad.validate().ok());
+}
+
+// GEO_SERVE_STEER fails closed like every knob: a bad value runs the
+// reference rung and leaves a config.invalid entry for postmortems.
+TEST(ServeOptions, InvalidSteerKnobIsJournaled) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "geo_serve_steer.jsonl")
+          .string();
+  auto& journal = telemetry::Journal::instance();
+  journal.disable();
+  journal.enable(path, 64);
+  ::setenv("GEO_SERVE_STEER", "sideways", 1);
+  const ServeOptions o = ServeOptions::from_env();
+  ::unsetenv("GEO_SERVE_STEER");
+  EXPECT_EQ(o.steer_rung, resilience::Rung::kReference);
+  bool journaled = false;
+  for (const telemetry::JournalEntry& e : journal.snapshot())
+    journaled |= e.kind == "config.invalid" && e.label == "GEO_SERVE_STEER";
+  journal.disable();
+  std::filesystem::remove(path);
+  EXPECT_TRUE(journaled);
 }
 
 TEST(InferenceServer, CleanRequestIsBitIdenticalToMachine) {
@@ -368,6 +394,38 @@ TEST(InferenceServer, DestructorDrainsAdmittedRequests) {
     Response r = fut.get();
     EXPECT_TRUE(r.status.ok()) << r.status.to_string();
   }
+}
+
+// Prewarm tasks run on the process-wide io lane, which is never destroyed.
+// A server must not finish destructing while its own prewarms are queued
+// there, or they can run during static destruction at exit. A gate task
+// holds the lane so the server's prewarms are provably still queued when
+// its destructor starts.
+TEST(InferenceServer, DestructorWaitsForItsPrewarms) {
+  const Fixture f;
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::future<void> blocker =
+      exec::AsyncLane::io().submit([opened] { opened.wait(); });
+  ServeOptions o = base_options();
+  o.prewarm = true;
+  auto server = std::make_unique<InferenceServer>(small_hw(), o);
+  shield_all_replicas(*server);
+  for (int i = 0; i < 3; ++i) {
+    Response r = server->run(f.request());
+    EXPECT_TRUE(r.status.ok()) << r.status.to_string();
+  }
+  EXPECT_EQ(server->stats().prewarms, 3);
+  std::atomic<bool> destroyed{false};
+  std::thread destroyer([&] {
+    server.reset();
+    destroyed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(destroyed.load()) << "destructor returned with prewarms queued";
+  gate.set_value();
+  destroyer.join();  // returns once the prewarms behind the gate have run
+  blocker.wait();
 }
 
 TEST(InferenceServer, SubmitAfterShutdownWouldBeRefused) {

@@ -8,6 +8,7 @@
 
 #include <csignal>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -279,6 +280,35 @@ TEST(Journal, FatalSignalFlushPersistsRetainedWindow) {
   EXPECT_EQ(first->find("note")->str(), "pre-crash");
 
   std::filesystem::remove(path);
+}
+
+// GEO_JOURNAL_CAP is read while the singleton is constructed, so the check
+// runs in a fresh process (a threadsafe death test re-executes the binary).
+// A rejected value keeps the default capacity and is journaled by the
+// journal being built, without re-entering Journal::instance().
+TEST(JournalDeathTest, InvalidCapacityKnobIsJournaled) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"lots", "8", "99999999", "64k"}) {
+    const std::string path = temp_path("geo_journal_cap.jsonl");
+    EXPECT_EXIT(
+        {
+          ::setenv("GEO_JOURNAL", path.c_str(), 1);
+          ::setenv("GEO_JOURNAL_CAP", bad, 1);
+          auto& journal = Journal::instance();
+          const std::vector<JournalEntry> entries = journal.snapshot();
+          const bool ok = entries.size() == 1 &&
+                          entries[0].kind == "config.invalid" &&
+                          entries[0].label == "GEO_JOURNAL_CAP";
+          // Fill past the default capacity: exactly 4096 entries stay.
+          for (int i = 0; i < 5000; ++i) journal.record("test.fill", "cap");
+          const bool capped = journal.event_count() == 4096;
+          journal.disable();
+          std::_Exit(ok && capped ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "GEO_JOURNAL_CAP")
+        << "GEO_JOURNAL_CAP=" << bad;
+    std::filesystem::remove(path);
+  }
 }
 
 }  // namespace
