@@ -87,17 +87,24 @@ void apply_bn_relu(std::span<const std::int32_t> counters,
     }
 }
 
-// ----------------------------------------------------------- ConvExecution
+// ------------------------------------------------------------ PreparedConv
 
-struct ConvExecution::Impl {
+struct PreparedConv {
   HwConfig hw;
   ConvShape shape;
   LayerPlan plan;
   nn::ScLayerConfig cfg;
-  std::span<const float> input;
   std::vector<float> bn_scale, bn_shift;
+  // The fault model the bank was generated under; runs inject through it.
   fault::FaultModel* fm = nullptr;
-  std::int64_t fault_retry0 = 0;
+  // Under a transient model a regenerated bank would draw fresh per-site
+  // faults, so the bank stands for one run only and a second bind fails.
+  bool transient = false;
+  mutable std::atomic<bool> bound{false};
+  // ECC retry cycles the weight-SRAM reads cost while the bank was built.
+  // Every run charges them, so a run's ledger does not depend on whether
+  // it shared the bank.
+  std::int64_t weight_ecc_retry = 0;
 
   int L = 0;
   std::size_t wpl = 0;
@@ -137,33 +144,15 @@ struct ConvExecution::Impl {
   // at ((t * wpl + k) * cout + oc), so one vector load covers neighbouring
   // channels. A short stream is replicated into every window slot of its
   // word. Both MAC paths read this one bank.
-  std::vector<std::uint64_t> wpos, wneg, act;
-  // Lazy activation-stream cache flags: 0 = empty, 1 = being generated,
-  // 2 = ready. Atomic so concurrent tiles claim generation exactly once
-  // (first CAS winner generates, everyone else waits for the release store)
-  // — the stream content is a pure function of the slot, so the winner's
-  // identity never changes the bits.
-  std::unique_ptr<std::atomic<std::uint8_t>[]> act_ready;
+  std::vector<std::uint64_t> wpos, wneg;
 
   std::int64_t tiles_cg = 0, tiles_wg = 0;
 
-  MachineResult result;
-  // Guards result.stats merges from concurrent run_tile calls. Tile deltas
-  // are integer sums, so the merge order never changes the totals.
-  std::mutex stats_mu;
-  std::optional<telemetry::ScopedTimer> run_timer;
   telemetry::Histogram* pass_hist = nullptr;
   telemetry::Histogram* gather_hist = nullptr;
   telemetry::Histogram* mac_hist = nullptr;
   telemetry::Counter* act_gen_counter = nullptr;
-  bool finished = false;
 
-  // The activation stream in slot `idx`; the first use generates it.
-  const std::uint64_t* act_stream(std::size_t idx) {
-    if (act_ready[idx].load(std::memory_order_acquire) != 2) claim_act(idx);
-    return act.data() + idx * wpl;
-  }
-  void claim_act(std::size_t idx);
   // Activation slot read by `tap` of the window whose top-left input is
   // (iy0, ix0), or -1 for a tap that lands in the padding.
   std::ptrdiff_t tap_input(int iy0, int ix0, const Tap& tap) const {
@@ -172,8 +161,6 @@ struct ConvExecution::Impl {
     return static_cast<std::ptrdiff_t>(tap.plane) +
            static_cast<std::ptrdiff_t>(iy) * shape.win + ix;
   }
-  void gather_window(std::int64_t pos, int tap_lo, int tap_hi, int slot,
-                     std::uint64_t* row, std::uint8_t* padded);
   std::int64_t reduce_per_tap(const std::uint64_t* row,
                               const std::uint8_t* padded,
                               const std::uint64_t* wp,
@@ -183,11 +170,45 @@ struct ConvExecution::Impl {
                               std::vector<std::uint32_t>& cyc) const;
   template <typename Fn>
   void for_each_tile_input(std::int64_t tile, Fn&& fn) const;
+};
+
+// ----------------------------------------------------------- ConvExecution
+
+struct ConvExecution::Impl {
+  std::shared_ptr<const PreparedConv> prep;
+  std::span<const float> input;
+  // Lazily generated activation streams, [slot][wpl].
+  std::vector<std::uint64_t> act;
+  // Lazy activation-stream cache flags: 0 = empty, 1 = being generated,
+  // 2 = ready. Atomic so concurrent tiles claim generation exactly once
+  // (first CAS winner generates, everyone else waits for the release store)
+  // — the stream content is a pure function of the slot, so the winner's
+  // identity never changes the bits.
+  std::unique_ptr<std::atomic<std::uint8_t>[]> act_ready;
+  // The fault model's SRAM retry cycles at bind: finish() charges this
+  // run's own reads on top of the bank's weight_ecc_retry.
+  std::int64_t fault_retry0 = 0;
+
+  MachineResult result;
+  // Guards result.stats merges from concurrent run_tile calls. Tile deltas
+  // are integer sums, so the merge order never changes the totals.
+  std::mutex stats_mu;
+  std::optional<telemetry::ScopedTimer> run_timer;
+
+  // The activation stream in slot `idx`; the first use generates it.
+  const std::uint64_t* act_stream(std::size_t idx) {
+    if (act_ready[idx].load(std::memory_order_acquire) != 2) claim_act(idx);
+    return act.data() + idx * prep->wpl;
+  }
+  void claim_act(std::size_t idx);
+  void gather_window(std::int64_t pos, int tap_lo, int tap_hi, int slot,
+                     std::uint64_t* row, std::uint8_t* padded);
   MachineStats run_tile(std::int64_t tile);
   MachineResult finish();
 };
 
 void ConvExecution::Impl::claim_act(std::size_t idx) {
+  const PreparedConv& pc = *prep;
   std::atomic<std::uint8_t>& flag = act_ready[idx];
   std::uint8_t state = flag.load(std::memory_order_acquire);
   while (state != 2) {
@@ -195,17 +216,17 @@ void ConvExecution::Impl::claim_act(std::size_t idx) {
       std::uint8_t expected = 0;
       if (flag.compare_exchange_strong(expected, 1,
                                        std::memory_order_acq_rel)) {
-        act_gen_counter->add(1);
+        pc.act_gen_counter->add(1);
         const float a = std::clamp(input[idx], 0.0f, 1.0f);
-        std::uint32_t q = nn::quantize_unsigned(a, cfg.value_bits);
-        if (fm != nullptr)
-          q = fm->sram_read(q, cfg.value_bits,
-                            fault::FaultModel::Site::kActSram, idx);
-        generate_stream(act.data() + idx * wpl, wpl,
-                        static_cast<std::size_t>(L), cfg,
-                        alloc->activation(static_cast<int>(idx)), q, fm,
+        std::uint32_t q = nn::quantize_unsigned(a, pc.cfg.value_bits);
+        if (pc.fm != nullptr)
+          q = pc.fm->sram_read(q, pc.cfg.value_bits,
+                               fault::FaultModel::Site::kActSram, idx);
+        generate_stream(act.data() + idx * pc.wpl, pc.wpl,
+                        static_cast<std::size_t>(pc.L), pc.cfg,
+                        pc.alloc->activation(static_cast<int>(idx)), q, pc.fm,
                         fault::FaultModel::Site::kActStream, idx,
-                        use_stream_table);
+                        pc.use_stream_table);
         flag.store(2, std::memory_order_release);
         flag.notify_all();
         break;
@@ -240,16 +261,19 @@ void ConvExecution::Impl::gather_window(std::int64_t pos, int tap_lo,
                                         int tap_hi, int slot,
                                         std::uint64_t* row,
                                         std::uint8_t* padded) {
-  const int iy0 = static_cast<int>(pos / wo) * shape.stride - shape.pad;
-  const int ix0 = static_cast<int>(pos % wo) * shape.stride - shape.pad;
-  const unsigned shift = static_cast<unsigned>(slot) * slot_bits;
-  for (int t = tap_lo; t < tap_hi; ++t, row += wpl, ++padded) {
+  const PreparedConv& pc = *prep;
+  const int iy0 = static_cast<int>(pos / pc.wo) * pc.shape.stride -
+                  pc.shape.pad;
+  const int ix0 = static_cast<int>(pos % pc.wo) * pc.shape.stride -
+                  pc.shape.pad;
+  const unsigned shift = static_cast<unsigned>(slot) * pc.slot_bits;
+  for (int t = tap_lo; t < tap_hi; ++t, row += pc.wpl, ++padded) {
     const std::ptrdiff_t aidx =
-        tap_input(iy0, ix0, taps[static_cast<std::size_t>(t)]);
+        pc.tap_input(iy0, ix0, pc.taps[static_cast<std::size_t>(t)]);
     *padded = aidx < 0;
     if (aidx < 0) continue;
     const std::uint64_t* a = act_stream(static_cast<std::size_t>(aidx));
-    for (std::size_t k = 0; k < wpl; ++k) row[k] |= a[k] << shift;
+    for (std::size_t k = 0; k < pc.wpl; ++k) row[k] |= a[k] << shift;
   }
 }
 
@@ -260,7 +284,7 @@ void ConvExecution::Impl::gather_window(std::int64_t pos, int tap_lo,
 // exactly the padded taps, forms each product pair explicitly, and lets the
 // fault model corrupt it before accumulation. Site ids are per (output,
 // tap, channel) wire, mirrored by the nn reference path.
-std::int64_t ConvExecution::Impl::reduce_per_tap(
+std::int64_t PreparedConv::reduce_per_tap(
     const std::uint64_t* row, const std::uint8_t* padded,
     const std::uint64_t* wp, const std::uint64_t* wn, int tap_lo, int tap_hi,
     std::size_t oidx, std::uint64_t* acc, std::uint64_t* prod,
@@ -332,11 +356,12 @@ std::int64_t ConvExecution::Impl::reduce_per_tap(
 }
 
 MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
-  const int cg = static_cast<int>(tile / tiles_wg);
-  const std::int64_t wg = tile % tiles_wg;
-  const int chans = std::min(chans_at_once, shape.cout - cg * R);
+  const PreparedConv& pc = *prep;
+  const int cg = static_cast<int>(tile / pc.tiles_wg);
+  const std::int64_t wg = tile % pc.tiles_wg;
+  const int chans = std::min(pc.chans_at_once, pc.shape.cout - cg * pc.R);
   const int windows = static_cast<int>(std::min<std::int64_t>(
-      windows_per_pass, xy - wg * windows_per_pass));
+      pc.windows_per_pass, pc.xy - wg * pc.windows_per_pass));
   // This run's cost, merged into result.stats at the end — concurrent tiles
   // each accumulate privately so the totals are sums of per-tile integers,
   // identical in any merge order.
@@ -345,75 +370,79 @@ MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
   // accumulator groups, product pair and per-cycle counters): private so
   // concurrent tiles never share work buffers. Windows w of the tile sit in
   // row w / pack, slot w % pack; the last row may be partly filled.
-  const std::size_t row_words = slice_taps * wpl;
-  const int row_count = (windows + pack - 1) / pack;
+  const std::size_t row_words = pc.slice_taps * pc.wpl;
+  const int row_count = (windows + pc.pack - 1) / pc.pack;
   std::vector<std::uint64_t> rows(static_cast<std::size_t>(row_count) *
                                   row_words);
   std::vector<std::uint8_t> padded(static_cast<std::size_t>(windows) *
-                                   slice_taps);
+                                   pc.slice_taps);
   auto row_of = [&](int r) {
     return rows.data() + static_cast<std::size_t>(r) * row_words;
   };
   auto padded_of = [&](int w) {
-    return padded.data() + static_cast<std::size_t>(w) * slice_taps;
+    return padded.data() + static_cast<std::size_t>(w) * pc.slice_taps;
   };
-  const bool per_tap = accum_faults || stuck_faults;
+  const bool per_tap = pc.accum_faults || pc.stuck_faults;
   std::vector<std::int32_t> counts(
-      per_tap ? 0 : static_cast<std::size_t>(chans) * pack);
+      per_tap ? 0 : static_cast<std::size_t>(chans) * pc.pack);
   std::vector<std::uint64_t> acc(
-      per_tap ? static_cast<std::size_t>(groups) * 2 * wpl : 0);
-  std::vector<std::uint64_t> prod(per_tap ? 2 * wpl : 0);
+      per_tap ? static_cast<std::size_t>(pc.groups) * 2 * pc.wpl : 0);
+  std::vector<std::uint64_t> prod(per_tap ? 2 * pc.wpl : 0);
   std::vector<std::uint32_t> cyc(
-      stuck_faults && direct_accum ? 2 * static_cast<std::size_t>(L) : 0);
-  const auto cout = static_cast<std::size_t>(shape.cout);
+      pc.stuck_faults && pc.direct_accum ? 2 * static_cast<std::size_t>(pc.L)
+                                         : 0);
+  const auto cout = static_cast<std::size_t>(pc.shape.cout);
 
   // Retry-from-snapshot semantics: a re-run replaces the tile's partial
   // sums, it never double-counts them.
   for (int c = 0; c < chans; ++c)
     std::fill_n(result.counters.begin() +
-                    static_cast<std::ptrdiff_t>((cg * R + c) * xy +
-                                                wg * windows_per_pass),
+                    static_cast<std::ptrdiff_t>((cg * pc.R + c) * pc.xy +
+                                                wg * pc.windows_per_pass),
                 windows, 0);
 
-  for (int p = 0; p < slices; ++p) {
+  for (int p = 0; p < pc.slices; ++p) {
     telemetry::ScopedTimer pass_timer(
-        *pass_hist, "machine.pass", "machine",
+        *pc.pass_hist, "machine.pass", "machine",
         {{"channel_group", static_cast<double>(cg)},
          {"window_group", static_cast<double>(wg)},
          {"kernel_slice", static_cast<double>(p)},
-         {"act_fills", static_cast<double>(plan.act_loads_per_pass)},
-         {"wgt_fills", static_cast<double>(plan.wgt_loads_per_pass)}});
+         {"act_fills", static_cast<double>(pc.plan.act_loads_per_pass)},
+         {"wgt_fills", static_cast<double>(pc.plan.wgt_loads_per_pass)}});
     ++st.passes;
     // -- reload accounting (the functional fills below are exact).
-    st.act_buffer_fills += plan.act_loads_per_pass;
-    st.wgt_buffer_fills += plan.wgt_loads_per_pass;
-    st.stall_cycles += pass_stall;
-    st.compute_cycles += plan.stream_cycles + (hw.pipeline_stage ? 1 : 0);
+    st.act_buffer_fills += pc.plan.act_loads_per_pass;
+    st.wgt_buffer_fills += pc.plan.wgt_loads_per_pass;
+    st.stall_cycles += pc.pass_stall;
+    st.compute_cycles +=
+        pc.plan.stream_cycles + (pc.hw.pipeline_stage ? 1 : 0);
 
     // -- bit-exact computation of this pass's outputs: gather each
     //    window's activation words once, then reduce every output channel
     //    of the tile against the shared rows.
-    const int tap_lo = static_cast<int>(p * M);
+    const int tap_lo = static_cast<int>(p * pc.M);
     const int tap_hi = static_cast<int>(
-        std::min<std::int64_t>(K, (p + 1) * M));
-    const std::size_t words = static_cast<std::size_t>(tap_hi - tap_lo) * wpl;
+        std::min<std::int64_t>(pc.K, (p + 1) * pc.M));
+    const std::size_t words =
+        static_cast<std::size_t>(tap_hi - tap_lo) * pc.wpl;
     {
-      telemetry::ScopedTimer gather_timer(*gather_hist, "machine.act_gather",
-                                          "machine");
+      telemetry::ScopedTimer gather_timer(*pc.gather_hist,
+                                          "machine.act_gather", "machine");
       std::fill(rows.begin(), rows.end(), 0);
       for (int w = 0; w < windows; ++w)
-        gather_window(wg * windows_per_pass + w, tap_lo, tap_hi, w % pack,
-                      row_of(w / pack), padded_of(w));
+        gather_window(wg * pc.windows_per_pass + w, tap_lo, tap_hi,
+                      w % pc.pack, row_of(w / pc.pack), padded_of(w));
     }
-    telemetry::ScopedTimer mac_timer(*mac_hist, "machine.mac_rows",
+    telemetry::ScopedTimer mac_timer(*pc.mac_hist, "machine.mac_rows",
                                      "machine");
-    const std::size_t widx = static_cast<std::size_t>(tap_lo) * wpl * cout +
-                             static_cast<std::size_t>(cg * R);
-    const std::uint64_t* wp = wpos.data() + widx;
-    const std::uint64_t* wn = wneg.data() + widx;
+    const std::size_t widx =
+        static_cast<std::size_t>(tap_lo) * pc.wpl * cout +
+        static_cast<std::size_t>(cg * pc.R);
+    const std::uint64_t* wp = pc.wpos.data() + widx;
+    const std::uint64_t* wn = pc.wneg.data() + widx;
     auto oidx_of = [&](int c, int w) {
-      return static_cast<std::size_t>((cg * R + c) * xy +
-                                      wg * windows_per_pass + w);
+      return static_cast<std::size_t>((cg * pc.R + c) * pc.xy +
+                                      wg * pc.windows_per_pass + w);
     };
     // Near-memory read-add-write of one partial sum (first slice writes,
     // later slices accumulate).
@@ -425,9 +454,9 @@ MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
       for (int c = 0; c < chans; ++c)
         for (int w = 0; w < windows; ++w)
           accumulate(oidx_of(c, w),
-                     reduce_per_tap(row_of(w), padded_of(w), wp + c, wn + c,
-                                    tap_lo, tap_hi, oidx_of(c, w), acc.data(),
-                                    prod.data(), cyc));
+                     pc.reduce_per_tap(row_of(w), padded_of(w), wp + c,
+                                       wn + c, tap_lo, tap_hi, oidx_of(c, w),
+                                       acc.data(), prod.data(), cyc));
       continue;
     }
     // Clean: word j of a row feeds lane j % lanes. OR / PBW / PBHW: tap t
@@ -437,17 +466,18 @@ MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
     // (the machine models APC as exact counting; the area model carries
     // the difference): every word is its own lane.
     const std::size_t lanes =
-        direct_accum ? words
-                     : std::min(words, static_cast<std::size_t>(groups) * wpl);
+        pc.direct_accum
+            ? words
+            : std::min(words, static_cast<std::size_t>(pc.groups) * pc.wpl);
     for (int r = 0; r < row_count; ++r) {
       sc::simd::packed_mac(row_of(r), words, lanes, wp, wn, cout,
-                           static_cast<std::size_t>(chans), slot_bits,
+                           static_cast<std::size_t>(chans), pc.slot_bits,
                            counts.data());
-      const int slots = std::min(pack, windows - r * pack);
+      const int slots = std::min(pc.pack, windows - r * pc.pack);
       for (int c = 0; c < chans; ++c)
         for (int s = 0; s < slots; ++s)
-          accumulate(oidx_of(c, r * pack + s),
-                     counts[static_cast<std::size_t>(c * pack + s)]);
+          accumulate(oidx_of(c, r * pc.pack + s),
+                     counts[static_cast<std::size_t>(c * pc.pack + s)]);
     }
   }
 
@@ -467,25 +497,29 @@ MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
 }
 
 MachineResult ConvExecution::Impl::finish() {
+  const PreparedConv& pc = *prep;
   MachineStats& st = result.stats;
   auto& metrics = telemetry::MetricsRegistry::instance();
 
   // ---- near-memory BN + bounded ReLU + write-back ------------------------
   {
     telemetry::ScopedTimer bn_timer("machine.bn_relu", "machine");
-    apply_bn_relu(result.counters, bn_scale, bn_shift, L, xy,
+    apply_bn_relu(result.counters, pc.bn_scale, pc.bn_shift, pc.L, pc.xy,
                   result.activations);
-    if (hw.near_memory) st.bn_ops += static_cast<std::int64_t>(outputs);
+    if (pc.hw.near_memory)
+      st.bn_ops += static_cast<std::int64_t>(pc.outputs);
   }
 
-  const double lanes = std::max(1, hw.mem_port_bits / 16);
+  const double lanes = std::max(1, pc.hw.mem_port_bits / 16);
   st.nearmem_cycles = static_cast<std::int64_t>(
       2.0 * (st.psum_ops + st.bn_ops) / lanes);
   // ECC retries on faulty SRAM reads stall the fill network; they are
-  // recovery work, so they land in the retry sub-bucket as well.
-  if (fm != nullptr) {
-    const std::int64_t ecc_retry =
-        fm->stats().sram_retry_cycles - fault_retry0;
+  // recovery work, so they land in the retry sub-bucket as well. The
+  // bank's weight reads count once per run, then this run's own reads.
+  if (pc.fm != nullptr) {
+    const std::int64_t ecc_retry = pc.weight_ecc_retry +
+                                   pc.fm->stats().sram_retry_cycles -
+                                   fault_retry0;
     st.stall_cycles += ecc_retry;
     st.retry_stall_cycles += ecc_retry;
   }
@@ -524,8 +558,7 @@ MachineResult ConvExecution::Impl::finish() {
   // Feed the per-layer generation/execution breakdown (paper Fig. 6's
   // runtime analogue); the ledger republishes the attr.* gauges/counters.
   AttributionLedger::instance().record(
-      shape.name.empty() ? "conv" : shape.name, st);
-  finished = true;
+      pc.shape.name.empty() ? "conv" : pc.shape.name, st);
   run_timer.reset();  // close the machine.run_conv span
   return std::move(result);
 }
@@ -536,24 +569,61 @@ ConvExecution::ConvExecution(ConvExecution&&) noexcept = default;
 ConvExecution& ConvExecution::operator=(ConvExecution&&) noexcept = default;
 ConvExecution::~ConvExecution() = default;
 
+namespace {
+
+geo::Status check_input(const ConvShape& shape, std::span<const float> input) {
+  if (input.size() == static_cast<std::size_t>(shape.activations()))
+    return geo::Status();
+  return geo::Status::invalid_argument(
+      "GeoMachine: input size mismatch: got " + std::to_string(input.size()) +
+      ", shape wants " + std::to_string(shape.activations()));
+}
+
+}  // namespace
+
+geo::StatusOr<ConvExecution> ConvExecution::bind(
+    std::shared_ptr<const PreparedConv> prepared,
+    std::span<const float> input) {
+  const PreparedConv& pc = *prepared;
+  if (geo::Status s = check_input(pc.shape, input); !s.ok()) return s;
+  if (pc.bound.exchange(true) && pc.transient)
+    return geo::Status::failed_precondition(
+        "GeoMachine: '" + pc.shape.name +
+        "' was prepared under a transient fault model, whose weight streams "
+        "serve one run only; prepare it again");
+  auto impl = std::make_unique<Impl>();
+  impl->run_timer.emplace("machine.run_conv", "machine");
+  impl->input = input;
+  impl->act.assign(input.size() * pc.wpl, 0);
+  impl->act_ready =
+      std::make_unique<std::atomic<std::uint8_t>[]>(input.size());
+  for (std::size_t i = 0; i < input.size(); ++i)
+    impl->act_ready[i].store(0, std::memory_order_relaxed);
+  impl->fault_retry0 =
+      pc.fm != nullptr ? pc.fm->stats().sram_retry_cycles : 0;
+  impl->result.counters.assign(static_cast<std::size_t>(pc.outputs), 0);
+  impl->result.activations.assign(static_cast<std::size_t>(pc.outputs), 0);
+  impl->prep = std::move(prepared);
+  return ConvExecution(std::move(impl));
+}
+
 std::int64_t ConvExecution::tile_count() const {
-  return impl_->tiles_cg * impl_->tiles_wg;
+  return impl_->prep->tiles_cg * impl_->prep->tiles_wg;
 }
 
 std::vector<std::size_t> ConvExecution::tile_outputs(std::int64_t tile) const {
-  const Impl& im = *impl_;
-  const int cg = static_cast<int>(tile / im.tiles_wg);
-  const std::int64_t wg = tile % im.tiles_wg;
+  const PreparedConv& pc = *impl_->prep;
+  const int cg = static_cast<int>(tile / pc.tiles_wg);
+  const std::int64_t wg = tile % pc.tiles_wg;
   std::vector<std::size_t> out;
-  for (int c = 0; c < im.chans_at_once; ++c) {
-    const int oc = cg * im.R + c;
-    if (oc >= im.shape.cout) break;
-    for (int wslot = 0; wslot < im.windows_per_pass; ++wslot) {
-      const std::int64_t pos =
-          wg * im.windows_per_pass + wslot;
-      if (pos >= im.xy) break;
+  for (int c = 0; c < pc.chans_at_once; ++c) {
+    const int oc = cg * pc.R + c;
+    if (oc >= pc.shape.cout) break;
+    for (int wslot = 0; wslot < pc.windows_per_pass; ++wslot) {
+      const std::int64_t pos = wg * pc.windows_per_pass + wslot;
+      if (pos >= pc.xy) break;
       out.push_back(static_cast<std::size_t>(oc) *
-                        static_cast<std::size_t>(im.xy) +
+                        static_cast<std::size_t>(pc.xy) +
                     static_cast<std::size_t>(pos));
     }
   }
@@ -567,8 +637,7 @@ MachineStats ConvExecution::run_tile(std::int64_t tile) {
 // Enumerates the activation-stream slots feeding `tile` (with repeats:
 // windows overlap). Shared by invalidation and tile_inputs.
 template <typename Fn>
-void ConvExecution::Impl::for_each_tile_input(std::int64_t tile,
-                                              Fn&& fn) const {
+void PreparedConv::for_each_tile_input(std::int64_t tile, Fn&& fn) const {
   const std::int64_t wg = tile % tiles_wg;
   for (int wslot = 0; wslot < windows_per_pass; ++wslot) {
     const std::int64_t pos = wg * windows_per_pass + wslot;
@@ -587,7 +656,7 @@ void ConvExecution::invalidate_tile_inputs(std::int64_t tile) {
   // stale. Streams are shared across channel groups, so a neighbouring
   // tile's later first-use simply regenerates them (same seed, same SRAM
   // word — bit-identical unless a fault model intervenes).
-  im.for_each_tile_input(tile, [&im](std::size_t aidx) {
+  im.prep->for_each_tile_input(tile, [&im](std::size_t aidx) {
     im.act_ready[aidx].store(0, std::memory_order_release);
     // Wake any act_stream() parked on state 1 so it re-runs the claim (no
     // waiter can exist on the serial resilience path, but the protocol stays
@@ -598,8 +667,8 @@ void ConvExecution::invalidate_tile_inputs(std::int64_t tile) {
 
 std::vector<std::size_t> ConvExecution::tile_inputs(std::int64_t tile) const {
   std::vector<std::size_t> in;
-  impl_->for_each_tile_input(tile,
-                             [&in](std::size_t aidx) { in.push_back(aidx); });
+  impl_->prep->for_each_tile_input(
+      tile, [&in](std::size_t aidx) { in.push_back(aidx); });
   std::sort(in.begin(), in.end());
   in.erase(std::unique(in.begin(), in.end()), in.end());
   return in;
@@ -625,35 +694,11 @@ void ConvExecution::add_io_stall_cycles(std::int64_t cycles) {
   impl_->result.stats.io_stall_cycles += cycles;
 }
 
-const nn::ScLayerConfig& ConvExecution::config() const { return impl_->cfg; }
+const nn::ScLayerConfig& ConvExecution::config() const {
+  return impl_->prep->cfg;
+}
 
 MachineResult ConvExecution::finish() { return impl_->finish(); }
-
-geo::Status ConvExecution::rebind_input(std::span<const float> input) {
-  Impl& im = *impl_;
-  if (input.size() != static_cast<std::size_t>(im.shape.activations()))
-    return geo::Status::invalid_argument(
-        "GeoMachine: rebind input size mismatch: got " +
-        std::to_string(input.size()) + ", shape wants " +
-        std::to_string(im.shape.activations()));
-  im.input = input;
-  // Empty the lazy activation cache: every slot regenerates from the new
-  // input on first use. The buffers themselves are kept (generate_stream
-  // zero-fills its destination before writing), so a rebind allocates only
-  // the per-run result vectors.
-  for (std::size_t i = 0; i < input.size(); ++i)
-    im.act_ready[i].store(0, std::memory_order_relaxed);
-  im.result.counters.assign(static_cast<std::size_t>(im.outputs), 0);
-  im.result.activations.assign(static_cast<std::size_t>(im.outputs), 0);
-  im.result.stats = MachineStats{};
-  // Re-baseline the ECC retry charge: this run's finish() must charge only
-  // the retries its own activation reads incur, not the previous member's.
-  im.fault_retry0 =
-      im.fm != nullptr ? im.fm->stats().sram_retry_cycles : 0;
-  im.finished = false;
-  im.run_timer.emplace("machine.run_conv", "machine");
-  return geo::Status();
-}
 
 // ----------------------------------------------------------------- machine
 
@@ -678,6 +723,16 @@ geo::Status GeoMachine::validate_conv(const ConvShape& shape,
                                       std::span<const float> input,
                                       std::span<const float> bn_scale,
                                       std::span<const float> bn_shift) const {
+  if (geo::Status s = validate_layer(shape, weights, bn_scale, bn_shift);
+      !s.ok())
+    return s;
+  return check_input(shape, input);
+}
+
+geo::Status GeoMachine::validate_layer(const ConvShape& shape,
+                                       std::span<const float> weights,
+                                       std::span<const float> bn_scale,
+                                       std::span<const float> bn_shift) const {
   auto fail = [](const std::string& msg) {
     return geo::Status::invalid_argument("GeoMachine: " + msg);
   };
@@ -703,9 +758,6 @@ geo::Status GeoMachine::validate_conv(const ConvShape& shape,
     return fail("weight count mismatch: got " +
                 std::to_string(weights.size()) + ", shape wants " +
                 std::to_string(shape.weights()));
-  if (input.size() != static_cast<std::size_t>(shape.activations()))
-    return fail("input size mismatch: got " + std::to_string(input.size()) +
-                ", shape wants " + std::to_string(shape.activations()));
   if (bn_scale.size() != static_cast<std::size_t>(shape.cout) ||
       bn_shift.size() != bn_scale.size())
     return fail("BN coefficient count mismatch: got " +
@@ -760,51 +812,62 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
           validate_conv(shape, weights, input, bn_scale, bn_shift);
       !s.ok())
     return s;
+  auto prepared = prepare(shape, weights, bn_scale, bn_shift, layer_salt);
+  if (!prepared.ok()) return prepared.status();
+  return ConvExecution::bind(std::move(prepared).value(), input);
+}
 
-  auto impl = std::make_unique<ConvExecution::Impl>();
-  impl->run_timer.emplace("machine.run_conv", "machine");
-  impl->hw = hw_;
-  impl->shape = shape;
+geo::StatusOr<std::shared_ptr<const PreparedConv>> GeoMachine::prepare(
+    const ConvShape& shape, std::span<const float> weights,
+    std::span<const float> bn_scale, std::span<const float> bn_shift,
+    std::uint64_t layer_salt) {
+  if (geo::Status s = validate_layer(shape, weights, bn_scale, bn_shift);
+      !s.ok())
+    return s;
+
+  auto pc = std::make_shared<PreparedConv>();
+  pc->hw = hw_;
+  pc->shape = shape;
   const Compiler compiler(hw_);
-  impl->plan = compiler.plan_layer(shape, compiler.natural_dataflow());
-  impl->cfg = layer_config(shape, layer_salt);
-  impl->input = input;
-  impl->bn_scale.assign(bn_scale.begin(), bn_scale.end());
-  impl->bn_shift.assign(bn_shift.begin(), bn_shift.end());
+  pc->plan = compiler.plan_layer(shape, compiler.natural_dataflow());
+  pc->cfg = layer_config(shape, layer_salt);
+  pc->bn_scale.assign(bn_scale.begin(), bn_scale.end());
+  pc->bn_shift.assign(bn_shift.begin(), bn_shift.end());
 
-  impl->fm = fault::active();
-  impl->fault_retry0 =
-      impl->fm != nullptr ? impl->fm->stats().sram_retry_cycles : 0;
-  impl->use_stream_table = sc::stream_table_enabled();
+  pc->fm = fault::active();
+  pc->transient = pc->fm != nullptr && pc->fm->config().transient;
+  const std::int64_t retry0 =
+      pc->fm != nullptr ? pc->fm->stats().sram_retry_cycles : 0;
+  pc->use_stream_table = sc::stream_table_enabled();
 
-  const nn::ScLayerConfig& cfg = impl->cfg;
-  impl->L = cfg.stream_len;
-  impl->wpl = static_cast<std::size_t>((impl->L + 63) / 64);
+  const nn::ScLayerConfig& cfg = pc->cfg;
+  pc->L = cfg.stream_len;
+  pc->wpl = static_cast<std::size_t>((pc->L + 63) / 64);
   const unsigned n = cfg.lfsr_bits();
-  impl->ho = shape.hout();
-  impl->wo = shape.wout();
-  impl->outputs = shape.outputs();
-  impl->xy = static_cast<std::int64_t>(impl->ho) * impl->wo;
+  pc->ho = shape.hout();
+  pc->wo = shape.wout();
+  pc->outputs = shape.outputs();
+  pc->xy = static_cast<std::int64_t>(pc->ho) * pc->wo;
 
   const sc::KernelExtents ext{shape.cout, shape.cin, shape.kh, shape.kw};
-  impl->alloc.emplace(cfg.sharing, n, ext, layer_salt);
-  fault::FaultModel* const fm = impl->fm;
-  const std::size_t wpl = impl->wpl;
-  const int L = impl->L;
+  pc->alloc.emplace(cfg.sharing, n, ext, layer_salt);
+  fault::FaultModel* const fm = pc->fm;
+  const std::size_t wpl = pc->wpl;
+  const int L = pc->L;
 
-  impl->K = shape.taps();
-  impl->direct_accum = cfg.accum == nn::AccumMode::kFxp ||
+  pc->K = shape.taps();
+  pc->direct_accum = cfg.accum == nn::AccumMode::kFxp ||
                        cfg.accum == nn::AccumMode::kApc;
-  impl->accum_faults = fm != nullptr && fm->accum_active();
-  impl->stuck_faults = fm != nullptr && fm->stuck_enabled();
-  if (L <= 32 && !impl->accum_faults && !impl->stuck_faults) {
-    impl->slot_bits = std::max(8u, std::bit_ceil(static_cast<unsigned>(L)));
-    impl->pack = static_cast<int>(64 / impl->slot_bits);
+  pc->accum_faults = fm != nullptr && fm->accum_active();
+  pc->stuck_faults = fm != nullptr && fm->stuck_enabled();
+  if (L <= 32 && !pc->accum_faults && !pc->stuck_faults) {
+    pc->slot_bits = std::max(8u, std::bit_ceil(static_cast<unsigned>(L)));
+    pc->pack = static_cast<int>(64 / pc->slot_bits);
   }
 
   // ---- weight memory -> weight SNG streams (whole filter bank) ----------
-  impl->wpos.assign(weights.size() * wpl, 0);
-  impl->wneg.assign(weights.size() * wpl, 0);
+  pc->wpos.assign(weights.size() * wpl, 0);
+  pc->wneg.assign(weights.size() * wpl, 0);
   {
     telemetry::ScopedTimer t("machine.weight_streams", "machine",
                              {{"streams", static_cast<double>(
@@ -814,9 +877,9 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
     // identical to the old nested serial loop at any thread count. The walk
     // follows the bank's (tap, channel) order so its stores stay sequential.
     const std::int64_t kw = shape.kw, kh = shape.kh, cin = shape.cin;
-    const std::int64_t K = impl->K, cout = shape.cout;
-    const int pack = impl->pack;
-    const unsigned slot_bits = impl->slot_bits;
+    const std::int64_t K = pc->K, cout = shape.cout;
+    const int pack = pc->pack;
+    const unsigned slot_bits = pc->slot_bits;
     exec::parallel_for(
         static_cast<std::int64_t>(weights.size()), [&](std::int64_t b) {
           const int oc = static_cast<int>(b % cout);
@@ -832,14 +895,14 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
           if (fm != nullptr)
             q = fm->sram_read(q, cfg.value_bits,
                               fault::FaultModel::Site::kWeightSram, idx);
-          const sc::SeedSpec spec = impl->alloc->weight({oc, ic, ky, kx});
+          const sc::SeedSpec spec = pc->alloc->weight({oc, ic, ky, kx});
           thread_local std::vector<std::uint64_t> stream;
           stream.resize(wpl);
           generate_stream(stream.data(), wpl, static_cast<std::size_t>(L),
                           cfg, spec, q, fm,
                           fault::FaultModel::Site::kWeightStream, idx,
-                          impl->use_stream_table);
-          std::uint64_t* bank = (w >= 0.0f ? impl->wpos : impl->wneg).data() +
+                          pc->use_stream_table);
+          std::uint64_t* bank = (w >= 0.0f ? pc->wpos : pc->wneg).data() +
                                 static_cast<std::size_t>(t * cout) * wpl +
                                 static_cast<std::size_t>(oc);
           for (std::size_t k = 0; k < wpl; ++k) {
@@ -851,34 +914,28 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
         });
   }
 
-  // ---- activation streams, generated lazily per buffer slot -------------
-  auto& metrics = telemetry::MetricsRegistry::instance();
-  impl->act_gen_counter = &metrics.counter("machine.act_streams_generated");
-  impl->act.assign(input.size() * wpl, 0);
-  impl->act_ready =
-      std::make_unique<std::atomic<std::uint8_t>[]>(input.size());
-  for (std::size_t i = 0; i < input.size(); ++i)
-    impl->act_ready[i].store(0, std::memory_order_relaxed);
+  if (fm != nullptr)
+    pc->weight_ecc_retry = fm->stats().sram_retry_cycles - retry0;
 
-  impl->result.counters.assign(static_cast<std::size_t>(impl->outputs), 0);
-  impl->result.activations.assign(static_cast<std::size_t>(impl->outputs), 0);
+  auto& metrics = telemetry::MetricsRegistry::instance();
+  pc->act_gen_counter = &metrics.counter("machine.act_streams_generated");
 
   // ---- pass schedule ------------------------------------------------------
-  impl->R = hw_.rows;
-  impl->chans_at_once = std::min(shape.cout, impl->R);
-  impl->windows_per_pass = impl->plan.windows_per_pass;
-  impl->slices = impl->plan.kernel_slices;
-  impl->M = hw_.macs_per_row;
-  impl->slice_taps =
-      static_cast<std::size_t>(std::min<std::int64_t>(impl->K, impl->M));
-  impl->pass_stall = static_cast<std::int64_t>(
-      PerfSim::pass_stall_cycles(hw_, impl->plan));
+  pc->R = hw_.rows;
+  pc->chans_at_once = std::min(shape.cout, pc->R);
+  pc->windows_per_pass = pc->plan.windows_per_pass;
+  pc->slices = pc->plan.kernel_slices;
+  pc->M = hw_.macs_per_row;
+  pc->slice_taps =
+      static_cast<std::size_t>(std::min<std::int64_t>(pc->K, pc->M));
+  pc->pass_stall = static_cast<std::int64_t>(
+      PerfSim::pass_stall_cycles(hw_, pc->plan));
 
-  if (cfg.accum == nn::AccumMode::kPbw) impl->groups = shape.kw;
-  if (cfg.accum == nn::AccumMode::kPbhw) impl->groups = shape.kh * shape.kw;
-  impl->taps.resize(static_cast<std::size_t>(impl->K));
-  for (int t = 0; t < impl->K; ++t) {
-    ConvExecution::Impl::Tap& tap = impl->taps[static_cast<std::size_t>(t)];
+  if (cfg.accum == nn::AccumMode::kPbw) pc->groups = shape.kw;
+  if (cfg.accum == nn::AccumMode::kPbhw) pc->groups = shape.kh * shape.kw;
+  pc->taps.resize(static_cast<std::size_t>(pc->K));
+  for (int t = 0; t < pc->K; ++t) {
+    PreparedConv::Tap& tap = pc->taps[static_cast<std::size_t>(t)];
     tap.kx = t % shape.kw;
     tap.ky = (t / shape.kw) % shape.kh;
     tap.plane = static_cast<std::size_t>(t / (shape.kw * shape.kh)) *
@@ -886,15 +943,14 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
                 static_cast<std::size_t>(shape.win);
   }
 
-  impl->pass_hist = &metrics.histogram("machine.pass");
-  impl->gather_hist = &metrics.histogram("machine.act_gather");
-  impl->mac_hist = &metrics.histogram("machine.mac_rows");
+  pc->pass_hist = &metrics.histogram("machine.pass");
+  pc->gather_hist = &metrics.histogram("machine.act_gather");
+  pc->mac_hist = &metrics.histogram("machine.mac_rows");
 
-  impl->tiles_cg = (shape.cout + impl->R - 1) / impl->R;
-  impl->tiles_wg = (impl->xy + impl->windows_per_pass - 1) /
-                   impl->windows_per_pass;
-
-  return ConvExecution(std::move(impl));
+  pc->tiles_cg = (shape.cout + pc->R - 1) / pc->R;
+  pc->tiles_wg = (pc->xy + pc->windows_per_pass - 1) /
+                   pc->windows_per_pass;
+  return std::shared_ptr<const PreparedConv>(std::move(pc));
 }
 
 }  // namespace geo::arch

@@ -82,15 +82,28 @@ void apply_bn_relu(std::span<const std::int32_t> counters,
                    std::int64_t per_channel,
                    std::span<std::uint8_t> activations);
 
-// A prepared convolution whose pass schedule is executed tile by tile. One
-// tile is one (channel group, window group) pair; running it executes every
-// kernel slice for that tile's outputs against the input snapshot captured
-// at prepare time (weight/activation streams are generated once and reused),
-// so re-running a tile is the hardware's retry-from-snapshot. Obtained from
-// GeoMachine::prepare_conv; the weights/input spans must outlive the
-// execution. `finish()` applies BN/ReLU, reconciles the cycle ledger and
+// The immutable, input-independent half of a prepared convolution (defined
+// in machine.cpp): the pass plan, seed allocator, channel-blocked weight
+// bank, tap decode and window-packing layout, the fault model it was built
+// under, and the ECC retry cycles its weight-SRAM reads cost. Built by
+// GeoMachine::prepare; weights stay stationary while inputs stream past, so
+// any number of runs may bind to one bank (ConvExecution::bind). The
+// exception is a bank built under a transient fault model: regenerating it
+// would draw fresh faults, so it serves exactly one run and a second bind
+// fails with kFailedPrecondition. The fault model must outlive the bank.
+class PreparedConv;
+
+// One run of a PreparedConv against one input snapshot, executed tile by
+// tile. One tile is one (channel group, window group) pair; running it
+// executes every kernel slice for that tile's outputs against the input
+// snapshot (activation streams are generated once per run, weight streams
+// once per bank), so re-running a tile is the hardware's retry-from-
+// snapshot. The input span must outlive the run; the run keeps its bank
+// alive. `finish()` applies BN/ReLU, reconciles the cycle ledger and
 // mirrors the stats into telemetry — running every tile exactly once and
-// finishing is bit- and stat-identical to GeoMachine::try_run_conv.
+// finishing is bit- and stat-identical to GeoMachine::try_run_conv, whether
+// or not the bank is shared: every run charges the bank's weight-read ECC
+// retries.
 //
 // Execution: each pass of a tile gathers every window's activation words
 // once into a contiguous [taps][wpl] row (padded taps as zero words; at
@@ -110,6 +123,13 @@ void apply_bn_relu(std::span<const std::int32_t> counters,
 // run_tile in flight.
 class ConvExecution {
  public:
+  // Binds a fresh run of `prepared` to `input`: kInvalidArgument when the
+  // input does not fit the shape, kFailedPrecondition on a second bind of a
+  // bank built under a transient fault model.
+  static geo::StatusOr<ConvExecution> bind(
+      std::shared_ptr<const PreparedConv> prepared,
+      std::span<const float> input);
+
   ConvExecution(ConvExecution&&) noexcept;
   ConvExecution& operator=(ConvExecution&&) noexcept;
   ~ConvExecution();
@@ -157,29 +177,10 @@ class ConvExecution {
   const nn::ScLayerConfig& config() const;
 
   // BN + bounded ReLU write-back, ledger reconciliation, telemetry mirror.
-  // Call at most once per (prepare|rebind); the result is consumed, but the
-  // prepared weight streams survive — rebind_input() re-arms the execution
-  // for the next batch member.
+  // Call at most once; the result is consumed.
   MachineResult finish();
 
-  // Re-arms the execution for a new input snapshot of the same layer: the
-  // prepared weight streams, pass plan, and seed layout are kept (the
-  // expensive per-layer setup the serving batcher amortizes), while every
-  // per-run artifact is reset — the lazy activation-stream cache, partial
-  // sums, stats, the fault-retry baseline, and the run timer. After a
-  // rebind, running every tile and finishing produces counters and
-  // activations byte-identical to a fresh prepare_conv on `input` (stats
-  // legitimately differ: the weight-stream generation cost is not re-paid).
-  // Valid after finish(), after a cancelled/abandoned partial run, or
-  // immediately after prepare. The span must outlive the execution. Safe
-  // only with no run_tile in flight. Byte-identity of the reused weight
-  // streams holds when no fault model is active or the model is a defect
-  // model (per-site pure draws); callers must not rebind under a transient
-  // fault model — regeneration there draws fresh per-site sequences.
-  geo::Status rebind_input(std::span<const float> input);
-
  private:
-  friend class GeoMachine;
   struct Impl;
   explicit ConvExecution(std::unique_ptr<Impl> impl);
   std::unique_ptr<Impl> impl_;
@@ -213,9 +214,15 @@ class GeoMachine {
                                             std::span<const float> bn_shift,
                                             std::uint64_t layer_salt);
 
-  // Validates the layer and builds a tile-granular execution (the machinery
-  // under try_run_conv, exposed for the resilience layer's detect-and-retry
-  // loop). The spans must outlive the returned execution.
+  // Validates the layer and builds its weight bank, ready to bind runs to.
+  geo::StatusOr<std::shared_ptr<const PreparedConv>> prepare(
+      const ConvShape& shape, std::span<const float> weights,
+      std::span<const float> bn_scale, std::span<const float> bn_shift,
+      std::uint64_t layer_salt);
+
+  // prepare + bind: validates the layer and input, and builds a tile-
+  // granular run (the machinery under try_run_conv). The input span must
+  // outlive the returned execution.
   geo::StatusOr<ConvExecution> prepare_conv(const ConvShape& shape,
                                             std::span<const float> weights,
                                             std::span<const float> input,
@@ -238,6 +245,12 @@ class GeoMachine {
                                  std::uint64_t layer_salt) const;
 
  private:
+  // validate_conv minus the input.
+  geo::Status validate_layer(const ConvShape& shape,
+                             std::span<const float> weights,
+                             std::span<const float> bn_scale,
+                             std::span<const float> bn_shift) const;
+
   HwConfig hw_;
 };
 

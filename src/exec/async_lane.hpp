@@ -39,8 +39,9 @@ class AsyncLane {
   // Tasks submitted and not yet finished.
   std::size_t pending() const;
 
-  // The process-wide I/O lane (store prefetch, background scrub). Created
-  // on first use; lives for the process.
+  // The process-wide I/O lane. Created on first use; lives for the process,
+  // so a task must not outlive what it touches: its one user,
+  // store::Prefetcher, waits for its own tasks in its destructor.
   static AsyncLane& io();
 
  private:

@@ -361,8 +361,8 @@ struct RungWalkStats {
 // `outcome`. Returns true when every tile passed, false when a tile drained
 // its retry budget (the rung failed; ws.abandoned holds the cycles the
 // serial schedule would have burned by then), or kDeadlineExceeded when
-// `cancel` fired at a tile boundary (the partial run is abandoned in place;
-// the execution stays reusable — rebind or destroy it).
+// `cancel` fired at a tile boundary (the partial run is abandoned; its bank
+// stays bindable).
 geo::StatusOr<bool> walk_rung_tiles(arch::ConvExecution& exec,
                                     const arch::ConvShape& shape,
                                     const RetryPolicy& policy, Rung rung,
@@ -508,266 +508,171 @@ geo::StatusOr<arch::MachineResult> ResilientExecutor::run_conv(
     std::span<const float> input, std::span<const float> bn_scale,
     std::span<const float> bn_shift, std::uint64_t layer_salt,
     std::string label, RunOptions options) {
-  auto& metrics = telemetry::MetricsRegistry::instance();
-  LayerOutcome outcome;
-  outcome.layer = label.empty() ? shape.name : std::move(label);
-  exec::CancelToken* cancel = options.cancel;
-
-  // The degradation ladder for this machine: whatever accumulation the
-  // hardware is configured with, then progressively more robust modes, and
-  // finally the fault-free software reference (which cannot fail). A
-  // non-native `options.start` (the serving layer's overload steering)
-  // drops the rungs above it.
-  std::vector<Rung> ladder;
-  if (options.start == Rung::kNative) ladder.push_back(Rung::kNative);
-  if (options.start <= Rung::kPbw && hw_.accum != nn::AccumMode::kPbw &&
-      hw_.accum != nn::AccumMode::kFxp)
-    ladder.push_back(Rung::kPbw);
-  if (options.start <= Rung::kFxp && hw_.accum != nn::AccumMode::kFxp)
-    ladder.push_back(Rung::kFxp);
-  ladder.push_back(Rung::kReference);
-
-  for (const Rung rung : ladder) {
-    if (cancel != nullptr && cancel->cancelled())
-      return cancelled_status(outcome.layer, "rung-entry");
-    outcome.rung = rung;
-    outcome.degraded = rung != Rung::kNative;
-
-    if (rung == Rung::kReference) {
-      // Bottom rung: bit-exact fixed-point software reference, computed
-      // outside every fault hook. Shares apply_bn_relu with the machine so
-      // the write-back rounding is identical; its zeroed machine stats
-      // reconcile trivially.
-      arch::GeoMachine machine(hw_);
-      if (auto s = machine.validate_conv(shape, weights, input, bn_scale,
-                                         bn_shift);
-          !s.ok())
-        return s;
-      const nn::ScLayerConfig cfg = machine.layer_config(shape, layer_salt);
-      arch::MachineResult result;
-      result.counters = nn::fxp_reference_counters(
-          shape.cin, shape.hin, shape.win, shape.cout, shape.kh, shape.kw,
-          shape.stride, shape.pad, weights, input, cfg.value_bits,
-          cfg.stream_len);
-      result.activations.resize(result.counters.size());
-      const std::int64_t per_channel =
-          static_cast<std::int64_t>(shape.hout()) * shape.wout();
-      arch::apply_bn_relu(result.counters, bn_scale, bn_shift,
-                          cfg.stream_len, per_channel, result.activations);
-      outcome.tiles = 0;  // no machine tiles; the whole layer is one unit
-      outcome.ledger_ok = true;
-      if (auto& journal = telemetry::Journal::instance(); journal.enabled())
-        journal.record("resilience.accept", outcome.layer, {},
-                       to_string(rung));
-      metrics.counter("fault.degraded").add(1);
-      report_.layers.push_back(std::move(outcome));
-      return result;
-    }
-
-    arch::HwConfig hw = hw_;
-    if (rung == Rung::kPbw) hw.accum = nn::AccumMode::kPbw;
-    if (rung == Rung::kFxp) hw.accum = nn::AccumMode::kFxp;
-    arch::GeoMachine machine(hw);
-    auto prepared =
-        machine.prepare_conv(shape, weights, input, bn_scale, bn_shift,
-                             layer_salt);
-    if (!prepared.ok()) return prepared.status();
-    arch::ConvExecution exec = std::move(prepared).value();
-
-    RungWalkStats ws;
-    auto walked =
-        walk_rung_tiles(exec, shape, policy_, rung, cancel, outcome, ws);
-    if (!walked.ok()) return walked.status();
-    if (!*walked) {
-      // Abandon this rung and descend the ladder.
-      outcome.abandoned_cycles += ws.abandoned;
-      if (auto& journal = telemetry::Journal::instance(); journal.enabled())
-        journal.record(
-            "resilience.degrade", outcome.layer,
-            {{"retries", static_cast<double>(outcome.retries)},
-             {"abandoned_cycles",
-              static_cast<double>(outcome.abandoned_cycles)}},
-            to_string(rung));
-      continue;
-    }
-
-    // The store's non-overlapped block-load wait belongs to the accepted
-    // execution (abandoned rungs discard their ledgers), charged into the io
-    // sub-bucket so attribution lands it in the memory bucket.
-    if (options.io_stall_cycles > 0)
-      exec.add_io_stall_cycles(options.io_stall_cycles);
-
-    const std::int64_t tiles = exec.tile_count();
-    arch::MachineResult result = exec.finish();
-    if (!result.stats.ledger_ok) {
-      outcome.detections[static_cast<std::size_t>(Detect::kLedger)] += 1;
-      outcome.abandoned_cycles += result.stats.total_cycles;
-      if (auto& journal = telemetry::Journal::instance(); journal.enabled())
-        journal.record("resilience.degrade", outcome.layer, {},
-                       "ledger-mismatch");
-      continue;  // an unreconciled ledger is a detection: descend
-    }
-    outcome.tiles = tiles;
-    outcome.backoff_cycles += ws.backoff;
-    outcome.ledger_ok = true;
-    if (auto& journal = telemetry::Journal::instance();
-        journal.enabled() && (outcome.degraded || outcome.tiles_retried > 0))
-      journal.record("resilience.accept", outcome.layer,
-                     {{"tiles_retried",
-                       static_cast<double>(outcome.tiles_retried)},
-                      {"retries", static_cast<double>(outcome.retries)}},
-                     to_string(rung));
-    if (outcome.degraded) metrics.counter("fault.degraded").add(1);
-    report_.layers.push_back(std::move(outcome));
-    return result;
-  }
-
-  // Unreachable: the ladder always ends in kReference, which returns.
-  return geo::Status::internal("resilience: degradation ladder fell through");
+  std::vector<BatchItem> items{BatchItem{input, std::move(label),
+                                         options.cancel,
+                                         options.io_stall_cycles}};
+  return std::move(run_conv_batch(shape, weights, bn_scale, bn_shift,
+                                  layer_salt, items, options.start)
+                       .front()
+                       .result);
 }
 
 std::vector<BatchItemResult> ResilientExecutor::run_conv_batch(
     const arch::ConvShape& shape, std::span<const float> weights,
     std::span<const float> bn_scale, std::span<const float> bn_shift,
     std::uint64_t layer_salt, std::vector<BatchItem>& items, Rung start) {
-  std::vector<BatchItemResult> out;
-  out.reserve(items.size());
-  fault::FaultModel* fm = fault::active();
+  auto& metrics = telemetry::MetricsRegistry::instance();
 
-  // Runs one item down the full unbatched path (its own prepare + ladder).
-  // Used when sharing is unsound or as the demotion path when the shared
-  // rung fails — the solo path appends its own complete outcome.
-  auto solo = [&](BatchItem& item) {
-    RunOptions opts;
-    opts.start = start;
-    opts.cancel = item.cancel;
-    opts.io_stall_cycles = item.io_stall_cycles;
-    BatchItemResult br{run_conv(shape, weights, item.input, bn_scale,
-                                bn_shift, layer_salt, item.label, opts)};
-    if (br.result.ok()) {
-      const LayerOutcome* oc = last_outcome();
-      br.degraded = oc != nullptr && oc->degraded;
+  // The degradation ladder for this machine: whatever accumulation the
+  // hardware is configured with, then progressively more robust modes, and
+  // finally the fault-free software reference (which cannot fail). A
+  // non-native `start` (the serving layer's overload steering) drops the
+  // rungs above it.
+  std::vector<Rung> ladder;
+  if (start == Rung::kNative) ladder.push_back(Rung::kNative);
+  if (start <= Rung::kPbw && hw_.accum != nn::AccumMode::kPbw &&
+      hw_.accum != nn::AccumMode::kFxp)
+    ladder.push_back(Rung::kPbw);
+  if (start <= Rung::kFxp && hw_.accum != nn::AccumMode::kFxp)
+    ladder.push_back(Rung::kFxp);
+  ladder.push_back(Rung::kReference);
+
+  if (items.size() > 1)
+    if (auto& journal = telemetry::Journal::instance(); journal.enabled())
+      journal.record("resilience.batch", shape.name,
+                     {{"items", static_cast<double>(items.size())}},
+                     to_string(start));
+
+  // Each machine rung's weight bank, built when an item first reaches the
+  // rung and bound by every later item that does.
+  std::array<std::shared_ptr<const arch::PreparedConv>, 3> banks;
+  const auto bind = [&](Rung rung, std::span<const float> input)
+      -> geo::StatusOr<arch::ConvExecution> {
+    std::shared_ptr<const arch::PreparedConv>& bank =
+        banks[static_cast<std::size_t>(rung)];
+    if (bank != nullptr) {
+      auto run = arch::ConvExecution::bind(bank, input);
+      // kFailedPrecondition: the bank was built under a transient fault
+      // model and has served its one run; this item prepares its own.
+      if (run.ok() ||
+          run.status().code() != geo::StatusCode::kFailedPrecondition)
+        return run;
     }
-    return br;
+    arch::HwConfig hw = hw_;
+    if (rung == Rung::kPbw) hw.accum = nn::AccumMode::kPbw;
+    if (rung == Rung::kFxp) hw.accum = nn::AccumMode::kFxp;
+    auto prepared = arch::GeoMachine(hw).prepare(shape, weights, bn_scale,
+                                                 bn_shift, layer_salt);
+    if (!prepared.ok()) return prepared.status();
+    bank = std::move(prepared).value();
+    return arch::ConvExecution::bind(bank, input);
   };
 
-  // Sharing a preparation is sound when reused weight streams are
-  // byte-identical to regenerated ones: no fault model, or a defect model
-  // (per-site pure draws). A transient model advances per-site sequences on
-  // every generation, so members after the first would diverge from their
-  // unbatched execution — fall back per item. A kReference start never
-  // prepares a machine execution, and a single-item batch has nothing to
-  // amortize.
-  const bool shareable = items.size() > 1 && start != Rung::kReference &&
-                         (fm == nullptr || !fm->config().transient);
-  if (!shareable) {
-    for (BatchItem& item : items) out.push_back(solo(item));
-    return out;
-  }
-
-  // Mirror run_conv's ladder entry for the start rung.
-  arch::HwConfig hw = hw_;
-  if (start == Rung::kPbw) hw.accum = nn::AccumMode::kPbw;
-  if (start == Rung::kFxp) hw.accum = nn::AccumMode::kFxp;
-  arch::GeoMachine machine(hw);
-  auto prepared = machine.prepare_conv(shape, weights, items.front().input,
-                                       bn_scale, bn_shift, layer_salt);
-  if (!prepared.ok()) {
-    // Invalid layer: every item fails identically (validation does not
-    // depend on the input values, only sizes — which batch_compatible
-    // dispatchers hold fixed).
-    for (std::size_t i = 0; i < items.size(); ++i)
-      out.push_back(BatchItemResult{
-          geo::StatusOr<arch::MachineResult>(prepared.status())});
-    return out;
-  }
-  arch::ConvExecution exec = std::move(prepared).value();
-
-  auto& metrics = telemetry::MetricsRegistry::instance();
-  if (auto& journal = telemetry::Journal::instance(); journal.enabled())
-    journal.record("resilience.batch", shape.name,
-                   {{"items", static_cast<double>(items.size())}},
-                   to_string(start));
-
-  bool first = true;
-  for (BatchItem& item : items) {
-    if (!first) {
-      if (auto s = exec.rebind_input(item.input); !s.ok()) {
-        out.push_back(BatchItemResult{geo::StatusOr<arch::MachineResult>(s)});
-        continue;
-      }
-    }
-    first = false;
-
+  // One item down the ladder; appends its outcome on acceptance.
+  const auto run_item =
+      [&](const BatchItem& item) -> geo::StatusOr<arch::MachineResult> {
     LayerOutcome outcome;
     outcome.layer = item.label.empty() ? shape.name : item.label;
-    outcome.rung = start;
-    outcome.degraded = start != Rung::kNative;
+    exec::CancelToken* cancel = item.cancel;
+    for (const Rung rung : ladder) {
+      if (cancel != nullptr && cancel->cancelled())
+        return cancelled_status(outcome.layer, "rung-entry");
+      outcome.rung = rung;
+      outcome.degraded = rung != Rung::kNative;
 
-    // Mirrors run_conv's rung-entry poll: an already-expired item charges
-    // nothing and appends no outcome.
-    if (item.cancel != nullptr && item.cancel->cancelled()) {
-      out.push_back(BatchItemResult{geo::StatusOr<arch::MachineResult>(
-          cancelled_status(outcome.layer, "batch-entry"))});
-      continue;
-    }
+      if (rung == Rung::kReference) {
+        // Bottom rung: bit-exact fixed-point software reference, computed
+        // outside every fault hook. Shares apply_bn_relu with the machine
+        // so the write-back rounding is identical; its zeroed machine stats
+        // reconcile trivially.
+        arch::GeoMachine machine(hw_);
+        if (auto s = machine.validate_conv(shape, weights, item.input,
+                                           bn_scale, bn_shift);
+            !s.ok())
+          return s;
+        const nn::ScLayerConfig cfg = machine.layer_config(shape, layer_salt);
+        arch::MachineResult result;
+        result.counters = nn::fxp_reference_counters(
+            shape.cin, shape.hin, shape.win, shape.cout, shape.kh, shape.kw,
+            shape.stride, shape.pad, weights, item.input, cfg.value_bits,
+            cfg.stream_len);
+        result.activations.resize(result.counters.size());
+        const std::int64_t per_channel =
+            static_cast<std::int64_t>(shape.hout()) * shape.wout();
+        arch::apply_bn_relu(result.counters, bn_scale, bn_shift,
+                            cfg.stream_len, per_channel, result.activations);
+        outcome.tiles = 0;  // no machine tiles; the whole layer is one unit
+        outcome.ledger_ok = true;
+        if (auto& journal = telemetry::Journal::instance(); journal.enabled())
+          journal.record("resilience.accept", outcome.layer, {},
+                         to_string(rung));
+        metrics.counter("fault.degraded").add(1);
+        report_.layers.push_back(std::move(outcome));
+        return result;
+      }
 
-    RungWalkStats ws;
-    auto walked = walk_rung_tiles(exec, shape, policy_, start, item.cancel,
-                                  outcome, ws);
-    if (!walked.ok()) {
-      // Cancelled mid-walk: abandon this item (no outcome, like run_conv);
-      // the execution rebinds cleanly for the next member.
-      out.push_back(
-          BatchItemResult{geo::StatusOr<arch::MachineResult>(walked.status())});
-      continue;
-    }
+      auto bound = bind(rung, item.input);
+      if (!bound.ok()) return bound.status();
+      arch::ConvExecution exec = std::move(bound).value();
 
-    bool demote = !*walked;
-    std::int64_t demote_abandoned = ws.abandoned;
-    if (!demote) {
+      RungWalkStats ws;
+      auto walked =
+          walk_rung_tiles(exec, shape, policy_, rung, cancel, outcome, ws);
+      if (!walked.ok()) return walked.status();
+      if (!*walked) {
+        // Abandon this rung and descend the ladder.
+        outcome.abandoned_cycles += ws.abandoned;
+        if (auto& journal = telemetry::Journal::instance(); journal.enabled())
+          journal.record(
+              "resilience.degrade", outcome.layer,
+              {{"retries", static_cast<double>(outcome.retries)},
+               {"abandoned_cycles",
+                static_cast<double>(outcome.abandoned_cycles)}},
+              to_string(rung));
+        continue;
+      }
+
+      // The store's non-overlapped block-load wait belongs to the accepted
+      // execution (abandoned rungs discard their ledgers), charged into the
+      // io sub-bucket so attribution lands it in the memory bucket.
       if (item.io_stall_cycles > 0)
         exec.add_io_stall_cycles(item.io_stall_cycles);
+
       const std::int64_t tiles = exec.tile_count();
       arch::MachineResult result = exec.finish();
       if (!result.stats.ledger_ok) {
-        demote = true;
-        demote_abandoned += result.stats.total_cycles;
-      } else {
-        outcome.tiles = tiles;
-        outcome.backoff_cycles += ws.backoff;
-        outcome.ledger_ok = true;
-        if (auto& journal = telemetry::Journal::instance();
-            journal.enabled() &&
-            (outcome.degraded || outcome.tiles_retried > 0))
-          journal.record("resilience.accept", outcome.layer,
-                         {{"tiles_retried",
-                           static_cast<double>(outcome.tiles_retried)},
-                          {"retries", static_cast<double>(outcome.retries)}},
-                         to_string(start));
-        const bool degraded = outcome.degraded;
-        if (degraded) metrics.counter("fault.degraded").add(1);
-        report_.layers.push_back(std::move(outcome));
-        out.push_back(BatchItemResult{
-            geo::StatusOr<arch::MachineResult>(std::move(result)), degraded,
-            /*shared=*/true});
-        continue;
+        outcome.detections[static_cast<std::size_t>(Detect::kLedger)] += 1;
+        outcome.abandoned_cycles += result.stats.total_cycles;
+        if (auto& journal = telemetry::Journal::instance(); journal.enabled())
+          journal.record("resilience.degrade", outcome.layer, {},
+                         "ledger-mismatch");
+        continue;  // an unreconciled ledger is a detection: descend
       }
+      outcome.tiles = tiles;
+      outcome.backoff_cycles += ws.backoff;
+      outcome.ledger_ok = true;
+      if (auto& journal = telemetry::Journal::instance();
+          journal.enabled() && (outcome.degraded || outcome.tiles_retried > 0))
+        journal.record("resilience.accept", outcome.layer,
+                       {{"tiles_retried",
+                         static_cast<double>(outcome.tiles_retried)},
+                        {"retries", static_cast<double>(outcome.retries)}},
+                       to_string(rung));
+      if (outcome.degraded) metrics.counter("fault.degraded").add(1);
+      report_.layers.push_back(std::move(outcome));
+      return result;
     }
+    // Unreachable: the ladder always ends in kReference, which returns.
+    return geo::Status::internal(
+        "resilience: degradation ladder fell through");
+  };
 
-    // The shared rung drained its retry budget (or its ledger failed to
-    // reconcile) on this item: drop the partial outcome and demote to a solo
-    // run_conv, which re-attempts the same ladder from `start` — exactly the
-    // unbatched path, so the item's output stays byte-identical to serial
-    // execution. The shared attempt's burned cycles are journaled so the
-    // work stays visible (the solo outcome accounts only its own spend).
-    if (auto& journal = telemetry::Journal::instance(); journal.enabled())
-      journal.record("resilience.batch_demote", outcome.layer,
-                     {{"abandoned_cycles",
-                       static_cast<double>(demote_abandoned)},
-                      {"retries", static_cast<double>(outcome.retries)}},
-                     to_string(start));
-    out.push_back(solo(item));
+  std::vector<BatchItemResult> out;
+  out.reserve(items.size());
+  for (const BatchItem& item : items) {
+    BatchItemResult r{run_item(item)};
+    r.degraded = r.result.ok() && last_outcome()->degraded;
+    out.push_back(std::move(r));
   }
   return out;
 }

@@ -11,7 +11,7 @@
 //   kPsumRange        a partial sum left the provable |c| <= taps * L bound
 //   kLedger           the layer's cycle ledger failed to reconcile
 //
-// A detected tile re-executes from its prepare-time input snapshot under a
+// A detected tile re-executes from its run's input snapshot under a
 // bounded retry budget; each retry charges exponentially growing backoff
 // stall cycles to the machine's ledger and regenerates the tile's activation
 // streams (so a transient fault model can actually recover — a defect model
@@ -154,7 +154,7 @@ struct RunOptions {
   std::int64_t io_stall_cycles = 0;
 };
 
-// One member of a batched layer dispatch (run_conv_batch): same layer
+// One member of a layer dispatch (run_conv_batch): same layer
 // (shape/weights/BN/salt), a private input snapshot, and per-request
 // controls. Spans must outlive the call.
 struct BatchItem {
@@ -168,11 +168,6 @@ struct BatchItem {
 struct BatchItemResult {
   geo::StatusOr<arch::MachineResult> result;
   bool degraded = false;  // accepted below kNative (meaningful when ok())
-  // True when the item executed on the batch-shared preparation; false when
-  // it fell back to a solo run_conv (transient fault model, steered-to-
-  // reference batch, or a rung failure demotion) — the solo path is the
-  // unbatched code verbatim.
-  bool shared = false;
 };
 
 // Drives convolution layers through detect -> retry -> degrade. One executor
@@ -194,17 +189,15 @@ class ResilientExecutor {
       std::span<const float> bn_shift, std::uint64_t layer_salt,
       std::string label = "", RunOptions options = {});
 
-  // Executes one layer for a batch of inputs, preparing the conv once and
-  // rebinding it per item (ConvExecution::rebind_input) — the serving
-  // batcher's amortization path. Per-item outputs are byte-identical to a
-  // solo run_conv on the same input; per-item outcomes append to report()
-  // in item order (cancelled items append nothing, like run_conv). Items
-  // whose shared-rung walk fails (retry budget drained) demote to a solo
-  // run_conv so the full degradation ladder still applies. The whole batch
-  // falls back to per-item run_conv when sharing is unsound or pointless:
-  // a transient fault model (regeneration draws fresh per-site sequences),
-  // a kReference start, or a single-item batch. `start` mirrors
-  // RunOptions::start for every item.
+  // Executes one layer for a batch of inputs; run_conv is a batch of one.
+  // Each item walks the ladder on its own, exactly as a solo request does.
+  // A rung's weight bank (arch::PreparedConv) is built the first time an
+  // item reaches the rung and bound by every later item that does, except
+  // under a transient fault model, where a second bind fails closed and the
+  // item prepares its own. Per-item outputs, ledgers and outcomes are
+  // therefore byte-identical to solo run_conv calls on the same inputs;
+  // outcomes append to report() in item order (cancelled items append
+  // nothing). `start` mirrors RunOptions::start for every item.
   std::vector<BatchItemResult> run_conv_batch(
       const arch::ConvShape& shape, std::span<const float> weights,
       std::span<const float> bn_scale, std::span<const float> bn_shift,

@@ -56,7 +56,6 @@ ServeOptions ServeOptions::from_env() {
   o.batch = static_cast<int>(core::env_int("GEO_SERVE_BATCH", o.batch, 1, 64));
   o.batch_wait_us = core::env_int("GEO_SERVE_BATCH_WAIT_US", o.batch_wait_us,
                                   0, 1'000'000'000);
-  o.prewarm = core::env_int("GEO_SERVE_PREWARM", o.prewarm ? 1 : 0, 0, 1) != 0;
   return o;
 }
 
@@ -99,8 +98,7 @@ std::string ServeOptions::to_string() const {
      << ",backoff_us=" << retry_backoff_us << ",strikes=" << breaker_strikes
      << ",probe_after=" << probe_after
      << ",steer=" << resilience::to_string(steer_rung) << ",batch=" << batch
-     << ",batch_wait_us=" << batch_wait_us
-     << ",prewarm=" << (prewarm ? 1 : 0);
+     << ",batch_wait_us=" << batch_wait_us;
   return os.str();
 }
 

@@ -81,18 +81,13 @@ struct ServeOptions {
   // on. kReference is the cheapest (pure software) and the default.
   resilience::Rung steer_rung = resilience::Rung::kReference;
   // GEO_SERVE_BATCH: max same-model requests coalesced into one dispatch
-  // (shared conv preparation via resilience::run_conv_batch). 1 disables
-  // batching — every request prepares its own conv, the pre-batching path.
+  // (one weight bank per rung via resilience::run_conv_batch). 1 disables
+  // batching — every dispatch is a batch of one.
   int batch = 1;
   // GEO_SERVE_BATCH_WAIT_US: how long a replica lingers for the batch to
   // fill once it holds at least one compatible request. 0 = dispatch
   // whatever is immediately coalescible (no added latency).
   std::int64_t batch_wait_us = 0;
-  // GEO_SERVE_PREWARM (0|1): pre-warm the weight-store pin and stream-table
-  // rows for an admitted request's model off the critical section
-  // (exec::AsyncLane::io), so the first dispatch of a burst hits warm
-  // caches.
-  bool prewarm = true;
 
   static ServeOptions from_env();
   geo::Status validate() const;
@@ -160,9 +155,6 @@ struct ServeStats {
   std::int64_t readmits = 0;          // probes that closed the breaker
   std::int64_t batches = 0;           // coalesced dispatches (size >= 2)
   std::int64_t batched_requests = 0;  // requests served inside those batches
-  std::int64_t prewarms = 0;          // admission-time prewarm tasks scheduled
-  std::int64_t prewarm_pins = 0;      // weight-store layers pinned warm
-  std::int64_t prewarm_tables = 0;    // stream-table rows acquired warm
   std::int64_t queue_depth = 0;       // instantaneous
   std::vector<std::int64_t> served_by;  // executions per replica
 };
@@ -209,18 +201,15 @@ class InferenceServer {
 
  private:
   struct Pending;
-  struct PrewarmCounters;
 
   void worker_main(int replica);
-  void serve_one(int replica, std::unique_ptr<Pending> p);
-  void serve_batch(int replica, std::vector<std::unique_ptr<Pending>> batch);
-  // Shared post-execution tail of serve_one / serve_batch: attempt
-  // bookkeeping, deadline/error handling, failover re-queue, breaker
-  // signal, terminal respond.
+  // Serves one claim — a leader plus any coalesced members — on `replica`.
+  void dispatch(int replica, std::vector<std::unique_ptr<Pending>> batch);
+  // Per-member tail of dispatch: attempt bookkeeping, deadline/error
+  // handling, failover re-queue, breaker signal, terminal respond.
   void finish_attempt(int replica, std::unique_ptr<Pending> p,
                       geo::StatusOr<arch::MachineResult> result,
                       bool degraded, double exec_us, bool batched);
-  void schedule_prewarm(const Request& req);
   void respond(std::unique_ptr<Pending> p, Response resp);
   void apply_transition(ReplicaHealth::Transition t, int replica);
 
@@ -246,15 +235,6 @@ class InferenceServer {
       steered_{0}, deadline_expired_{0}, failed_{0}, failovers_{0},
       quarantines_{0}, probes_{0}, readmits_{0}, batches_{0},
       batched_requests_{0};
-
-  // Updated by the prewarm tasks on exec::AsyncLane::io().
-  std::unique_ptr<PrewarmCounters> prewarm_;
-  // Prewarm tasks not yet known to be finished (guarded by mu_). The
-  // destructor waits for them, so they never outlive the counters; and
-  // since the io lane lives for the process, an unawaited task could
-  // still touch the metrics and stream-table singletons while static
-  // destructors run at exit.
-  std::vector<std::future<void>> prewarm_tasks_;
 
   std::vector<std::thread> workers_;
 };

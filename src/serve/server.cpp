@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "exec/async_lane.hpp"
-#include "sc/seed_sharing.hpp"
-#include "sc/stream_table.hpp"
 #include "store/weight_store.hpp"
 #include "telemetry/journal.hpp"
 #include "telemetry/metrics.hpp"
@@ -62,13 +59,6 @@ struct InferenceServer::Pending {
   }
 };
 
-// Prewarm bookkeeping updated by the server's exec::AsyncLane::io() tasks.
-struct InferenceServer::PrewarmCounters {
-  std::atomic<std::int64_t> scheduled{0};
-  std::atomic<std::int64_t> pins{0};
-  std::atomic<std::int64_t> tables{0};
-};
-
 InferenceServer::InferenceServer(const arch::HwConfig& hw,
                                  ServeOptions options)
     : hw_(hw),
@@ -91,15 +81,13 @@ InferenceServer::InferenceServer(const arch::HwConfig& hw,
         "serve.degraded", "serve.steered", "serve.deadline_expired",
         "serve.failed", "serve.failover", "serve.quarantine", "serve.probe",
         "serve.probe_failed", "serve.readmit", "serve.batch",
-        "serve.batch_requests", "serve.prewarm", "serve.prewarm_pins",
-        "serve.prewarm_tables"})
+        "serve.batch_requests"})
     m.counter(name);
   m.gauge("serve.queue_depth");
   m.histogram("serve.queue_us");
   m.histogram("serve.exec_us");
   m.histogram("serve.latency_us");
   m.histogram("serve.batch_occupancy");
-  prewarm_ = std::make_unique<PrewarmCounters>();
   journal_event("serve.start", "server", {}, options_.to_string());
   workers_.reserve(static_cast<std::size_t>(options_.replicas));
   for (int r = 0; r < options_.replicas; ++r)
@@ -114,8 +102,6 @@ InferenceServer::~InferenceServer() {
   }
   cv_.notify_all();
   for (std::thread& t : workers_) t.join();
-  // Workers are gone, so no new prewarm can be scheduled.
-  for (std::future<void>& task : prewarm_tasks_) task.wait();
   journal_event("serve.stop", "server",
                 {{"completed", static_cast<double>(
                                    completed_.load(std::memory_order_relaxed))}});
@@ -220,10 +206,6 @@ geo::StatusOr<std::future<Response>> InferenceServer::submit(Request req) {
     }
     admitted_.fetch_add(1, std::memory_order_relaxed);
     telemetry::MetricsRegistry::instance().counter("serve.admitted").add();
-    // Warm the model's caches off the replica's critical section: by the
-    // time a worker claims this request, the weight-store pin and
-    // stream-table rows are (best-effort) already resident.
-    if (options_.prewarm) schedule_prewarm(p->req);
     queue_.push_back(std::move(p));
     telemetry::MetricsRegistry::instance()
         .gauge("serve.queue_depth")
@@ -245,7 +227,6 @@ Response InferenceServer::run(Request req) {
 
 void InferenceServer::worker_main(int replica) {
   for (;;) {
-    std::unique_ptr<Pending> next;
     std::vector<std::unique_ptr<Pending>> batch;
     {
       std::unique_lock lock(mu_);
@@ -278,7 +259,7 @@ void InferenceServer::worker_main(int replica) {
                 journal_event("serve.probe", (*pick)->label(),
                               {{"replica", static_cast<double>(replica)}});
               }
-              next = std::move(*pick);
+              batch.push_back(std::move(*pick));
               queue_.erase(pick);
               // Coalesce compatible requests behind the claimed leader into
               // one batch dispatch (probes stay solo: a probe's health
@@ -300,11 +281,11 @@ void InferenceServer::worker_main(int replica) {
                   const auto gnow = Clock::now();
                   for (auto it = queue_.begin();
                        it != queue_.end() &&
-                       1 + static_cast<int>(batch.size()) < options_.batch;) {
+                       static_cast<int>(batch.size()) < options_.batch;) {
                     if ((*it)->not_before > gnow ||
                         ((*it)->exclude == replica &&
                          health_.other_candidate(replica)) ||
-                        !compatible(*next, **it)) {
+                        !compatible(*batch.front(), **it)) {
                       ++it;
                       continue;
                     }
@@ -320,8 +301,7 @@ void InferenceServer::worker_main(int replica) {
                   const auto linger_until =
                       Clock::now() +
                       std::chrono::microseconds(options_.batch_wait_us);
-                  while (1 + static_cast<int>(batch.size()) <
-                             options_.batch &&
+                  while (static_cast<int>(batch.size()) < options_.batch &&
                          !stopping_ && !paused_) {
                     const bool timed_out =
                         cv_.wait_until(lock, linger_until) ==
@@ -347,105 +327,8 @@ void InferenceServer::worker_main(int replica) {
           cv_.wait_until(lock, wait_until);
       }
     }
-    if (batch.empty()) {
-      serve_one(replica, std::move(next));
-    } else {
-      batch.insert(batch.begin(), std::move(next));
-      serve_batch(replica, std::move(batch));
-    }
+    dispatch(replica, std::move(batch));
   }
-}
-
-void InferenceServer::serve_one(int replica, std::unique_ptr<Pending> p) {
-  const auto popped = Clock::now();
-  if (!p->dispatched) {
-    p->dispatched = true;
-    p->queue_us = micros_between(p->submitted, popped);
-  }
-
-  // Deadline already expired while queued: release the replica without
-  // charging a single cycle.
-  if (p->cancel.cancelled()) {
-    health_.on_no_signal(replica);
-    deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-    telemetry::MetricsRegistry::instance()
-        .counter("serve.deadline_expired")
-        .add();
-    journal_event("serve.deadline", p->label(),
-                  {{"replica", static_cast<double>(replica)},
-                   {"attempt", static_cast<double>(p->attempts)}},
-                  "expired-in-queue");
-    Response resp;
-    resp.status =
-        geo::Status::deadline_exceeded("serve: deadline expired in queue");
-    resp.replica = replica;
-    resp.attempts = p->attempts;
-    respond(std::move(p), std::move(resp));
-    return;
-  }
-
-  // Per-replica fault domain: the scoped override beats GEO_FAULTS on this
-  // thread, and the thread pool propagates it to any helper workers.
-  std::optional<fault::FaultConfig> fault_cfg;
-  {
-    std::lock_guard lock(mu_);
-    fault_cfg = replica_fault_[static_cast<std::size_t>(replica)];
-  }
-  std::optional<fault::ScopedFaultInjection> fault_scope;
-  if (fault_cfg.has_value()) fault_scope.emplace(*fault_cfg);
-
-  resilience::ResilientExecutor executor(hw_, retry_policy_);
-  resilience::RunOptions run_options;
-  run_options.cancel = &p->cancel;
-  if (p->steered) run_options.start = options_.steer_rung;
-
-  // Store-backed weights: pin here, on the worker, inside the fault scope —
-  // the repair ladder (reread/rebuild/fallback) runs under whatever disk
-  // faults this replica is subject to and still returns source-identical
-  // bytes. Admission verified the layer, so a pin failure is a contract
-  // break surfaced loudly below, never a silent drop.
-  std::span<const float> weights = p->req.weights;
-  store::Pinned pinned;
-  if (!p->req.store_layer.empty()) {
-    std::shared_ptr<store::WeightStore> store;
-    {
-      std::lock_guard lock(mu_);
-      store = store_;
-    }
-    geo::StatusOr<store::Pinned> pin =
-        store != nullptr ? store->pin(p->req.store_layer)
-                         : geo::Status::failed_precondition(
-                               "serve: weight store detached after admission");
-    if (!pin.ok()) {
-      apply_transition(health_.on_outcome(replica, false), replica);
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      telemetry::MetricsRegistry::instance().counter("serve.failed").add();
-      journal_event("serve.fail", p->label(),
-                    {{"replica", static_cast<double>(replica)}},
-                    pin.status().message());
-      Response resp;
-      resp.status = pin.status();
-      resp.replica = replica;
-      resp.attempts = p->attempts;
-      respond(std::move(p), std::move(resp));
-      return;
-    }
-    pinned = std::move(*pin);
-    weights = pinned.span();
-    // Charge the load's modeled io stall into the execution's ledger (zero
-    // on cache hits), where attribution folds it into the memory bucket.
-    run_options.io_stall_cycles = pinned.stats().io_stall_cycles;
-  }
-
-  const auto exec_start = Clock::now();
-  auto result = executor.run_conv(p->req.shape, weights, p->req.input,
-                                  p->req.bn_scale, p->req.bn_shift,
-                                  p->req.layer_salt, p->label(), run_options);
-  const double exec_us = micros_between(exec_start, Clock::now());
-  const resilience::LayerOutcome* outcome = executor.last_outcome();
-  const bool degraded = result.ok() && outcome != nullptr && outcome->degraded;
-  finish_attempt(replica, std::move(p), std::move(result), degraded, exec_us,
-                 /*batched=*/false);
 }
 
 void InferenceServer::finish_attempt(int replica, std::unique_ptr<Pending> p,
@@ -536,9 +419,10 @@ void InferenceServer::finish_attempt(int replica, std::unique_ptr<Pending> p,
   respond(std::move(p), std::move(resp));
 }
 
-void InferenceServer::serve_batch(int replica,
-                                  std::vector<std::unique_ptr<Pending>> batch) {
+void InferenceServer::dispatch(int replica,
+                               std::vector<std::unique_ptr<Pending>> batch) {
   const auto popped = Clock::now();
+  auto& m = telemetry::MetricsRegistry::instance();
   std::vector<std::unique_ptr<Pending>> live;
   live.reserve(batch.size());
   for (auto& p : batch) {
@@ -546,14 +430,12 @@ void InferenceServer::serve_batch(int replica,
       p->dispatched = true;
       p->queue_us = micros_between(p->submitted, popped);
     }
-    // Deadline already expired while queued: terminal response without
-    // charging a cycle, exactly like the serve_one path.
+    // Deadline already expired while queued: release the replica without
+    // charging a single cycle.
     if (p->cancel.cancelled()) {
       health_.on_no_signal(replica);
       deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-      telemetry::MetricsRegistry::instance()
-          .counter("serve.deadline_expired")
-          .add();
+      m.counter("serve.deadline_expired").add();
       journal_event("serve.deadline", p->label(),
                     {{"replica", static_cast<double>(replica)},
                      {"attempt", static_cast<double>(p->attempts)}},
@@ -569,26 +451,25 @@ void InferenceServer::serve_batch(int replica,
     live.push_back(std::move(p));
   }
   if (live.empty()) return;
-  if (live.size() == 1) {
-    // A batch that shrank to one member is just a request (queue_us is
-    // latched; serve_one skips everything already done here).
-    serve_one(replica, std::move(live.front()));
-    return;
+  const bool batched = live.size() > 1;
+  if (batched) {
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    batched_requests_.fetch_add(static_cast<std::int64_t>(live.size()),
+                                std::memory_order_relaxed);
+    m.counter("serve.batch").add();
+    m.counter("serve.batch_requests")
+        .add(static_cast<std::int64_t>(live.size()));
+    m.histogram("serve.batch_occupancy")
+        .observe(static_cast<double>(live.size()));
+    journal_event("serve.batch", live.front()->label(),
+                  {{"replica", static_cast<double>(replica)},
+                   {"size", static_cast<double>(live.size())}});
   }
 
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  batched_requests_.fetch_add(static_cast<std::int64_t>(live.size()),
-                              std::memory_order_relaxed);
-  auto& m = telemetry::MetricsRegistry::instance();
-  m.counter("serve.batch").add();
-  m.counter("serve.batch_requests").add(static_cast<std::int64_t>(live.size()));
-  m.histogram("serve.batch_occupancy").observe(static_cast<double>(live.size()));
-  journal_event("serve.batch", live.front()->label(),
-                {{"replica", static_cast<double>(replica)},
-                 {"size", static_cast<double>(live.size())}});
-
   // Per-replica fault domain, one scope around the whole dispatch — batch
-  // members share the replica's hardware and therefore its faults.
+  // members share the replica's hardware and therefore its faults. The
+  // scoped override beats GEO_FAULTS on this thread, and the thread pool
+  // propagates it to any helper workers.
   std::optional<fault::FaultConfig> fault_cfg;
   {
     std::lock_guard lock(mu_);
@@ -597,14 +478,17 @@ void InferenceServer::serve_batch(int replica,
   std::optional<fault::ScopedFaultInjection> fault_scope;
   if (fault_cfg.has_value()) fault_scope.emplace(*fault_cfg);
 
-  resilience::ResilientExecutor executor(hw_, retry_policy_);
   const Pending& leader = *live.front();
   const resilience::Rung start =
       leader.steered ? options_.steer_rung : resilience::Rung::kNative;
 
-  // One store pin for the whole batch — the amortization batching exists
-  // for. The pin's modeled io stall is charged once, to the first member
-  // (the batch pays the wait once, not per member).
+  // Store-backed weights: one pin for the whole dispatch, here on the
+  // worker inside the fault scope — the repair ladder (reread/rebuild/
+  // fallback) runs under whatever disk faults this replica is subject to
+  // and still returns source-identical bytes. Admission verified the layer,
+  // so a pin failure is a contract break surfaced loudly, never a silent
+  // drop. The pin's modeled io stall (zero on cache hits) is charged once,
+  // to the leader: the batch waits for the load once.
   std::span<const float> weights = leader.req.weights;
   store::Pinned pinned;
   std::int64_t io_stall_cycles = 0;
@@ -641,92 +525,25 @@ void InferenceServer::serve_batch(int replica,
 
   std::vector<resilience::BatchItem> items;
   items.reserve(live.size());
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    resilience::BatchItem item;
-    item.input = live[i]->req.input;
-    item.label = live[i]->label();
-    item.cancel = &live[i]->cancel;
-    item.io_stall_cycles = i == 0 ? io_stall_cycles : 0;
-    items.push_back(std::move(item));
-  }
+  for (std::size_t i = 0; i < live.size(); ++i)
+    items.push_back(resilience::BatchItem{live[i]->req.input,
+                                          live[i]->label(), &live[i]->cancel,
+                                          i == 0 ? io_stall_cycles : 0});
 
+  resilience::ResilientExecutor executor(hw_, retry_policy_);
   const auto exec_start = Clock::now();
   std::vector<resilience::BatchItemResult> results = executor.run_conv_batch(
       leader.req.shape, weights, leader.req.bn_scale, leader.req.bn_shift,
       leader.req.layer_salt, items, start);
-  // Amortized per-request service time: the batch's wall time split evenly
-  // (members share one preparation; finer attribution is not observable).
+  // Amortized per-request service time: the dispatch's wall time split
+  // evenly (members share one preparation; finer attribution is not
+  // observable).
   const double exec_us = micros_between(exec_start, Clock::now()) /
                          static_cast<double>(live.size());
 
   for (std::size_t i = 0; i < live.size(); ++i)
     finish_attempt(replica, std::move(live[i]), std::move(results[i].result),
-                   results[i].degraded, exec_us, /*batched=*/true);
-}
-
-void InferenceServer::schedule_prewarm(const Request& req) {
-  // Called under mu_ from submit(). The task captures values and the
-  // counters, never `this`; the destructor waits for it. Finished tasks
-  // are dropped here so the list stays as short as the lane's queue.
-  std::erase_if(prewarm_tasks_, [](const std::future<void>& task) {
-    return task.wait_for(std::chrono::seconds(0)) ==
-           std::future_status::ready;
-  });
-  prewarm_->scheduled.fetch_add(1, std::memory_order_relaxed);
-  telemetry::MetricsRegistry::instance().counter("serve.prewarm").add();
-  PrewarmCounters* counters = prewarm_.get();
-  std::shared_ptr<store::WeightStore> store =
-      req.store_layer.empty() ? nullptr : store_;
-  const arch::HwConfig hw = hw_;
-  const arch::ConvShape shape = req.shape;
-  const std::uint64_t salt = req.layer_salt;
-  const std::string store_layer = req.store_layer;
-  auto task = [counters, store, hw, shape, salt, store_layer] {
-    auto& metrics = telemetry::MetricsRegistry::instance();
-    if (store != nullptr) {
-      // Pinning loads + verifies the layer's blocks into the store cache;
-      // dropping the pin keeps the cached blocks warm for dispatch.
-      if (auto pin = store->pin(store_layer); pin.ok()) {
-        counters->pins.fetch_add(1, std::memory_order_relaxed);
-        metrics.counter("serve.prewarm_pins").add();
-      }
-    }
-    if (!sc::stream_table_enabled()) return;
-    // Build the comparator tables dispatch will acquire: the layer's seed
-    // layout is a pure function of (shape, salt, hw), so acquiring the
-    // same specs here makes the dispatch-time acquires cache hits. Bounded
-    // slice — at moderate sharing the spec space collapses to a handful of
-    // distinct rows, so the first few coordinates cover the layer.
-    const nn::ScLayerConfig cfg =
-        arch::GeoMachine(hw).layer_config(shape, salt);
-    const sc::SeedAllocator alloc(
-        cfg.sharing, cfg.lfsr_bits(),
-        sc::KernelExtents{shape.cout, shape.cin, shape.kh, shape.kw}, salt);
-    auto& registry = sc::StreamTableRegistry::instance();
-    std::vector<sc::SeedSpec> seen;
-    std::int64_t acquired = 0;
-    const auto acquire_once = [&](const sc::SeedSpec& spec) {
-      if (std::find(seen.begin(), seen.end(), spec) != seen.end()) return;
-      seen.push_back(spec);
-      if (registry.acquire(cfg.rng, spec,
-                           static_cast<std::size_t>(cfg.stream_len)) !=
-          nullptr)
-        ++acquired;
-    };
-    const int acts =
-        static_cast<int>(std::min<std::int64_t>(shape.activations(), 64));
-    for (int i = 0; i < acts; ++i) acquire_once(alloc.activation(i));
-    for (int oc = 0; oc < std::min(shape.cout, 4); ++oc)
-      for (int ic = 0; ic < std::min(shape.cin, 4); ++ic)
-        for (int ky = 0; ky < shape.kh; ++ky)
-          for (int kx = 0; kx < shape.kw; ++kx)
-            acquire_once(alloc.weight(sc::WeightPos{oc, ic, ky, kx}));
-    if (acquired > 0) {
-      counters->tables.fetch_add(acquired, std::memory_order_relaxed);
-      metrics.counter("serve.prewarm_tables").add(acquired);
-    }
-  };
-  prewarm_tasks_.push_back(exec::AsyncLane::io().submit(std::move(task)));
+                   results[i].degraded, exec_us, batched);
 }
 
 void InferenceServer::respond(std::unique_ptr<Pending> p, Response resp) {
@@ -805,9 +622,6 @@ ServeStats InferenceServer::stats() const {
   s.readmits = readmits_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.batched_requests = batched_requests_.load(std::memory_order_relaxed);
-  s.prewarms = prewarm_->scheduled.load(std::memory_order_relaxed);
-  s.prewarm_pins = prewarm_->pins.load(std::memory_order_relaxed);
-  s.prewarm_tables = prewarm_->tables.load(std::memory_order_relaxed);
   std::lock_guard lock(mu_);
   s.queue_depth = static_cast<std::int64_t>(queue_.size());
   s.served_by = served_by_;

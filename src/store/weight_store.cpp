@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/env.hpp"
-#include "exec/async_lane.hpp"
 #include "store/block_file.hpp"
 #include "telemetry/journal.hpp"
 #include "telemetry/metrics.hpp"
@@ -485,10 +484,6 @@ ScrubReport WeightStore::scrub() {
        {"shards_rebuilt", static_cast<double>(report.shards_rebuilt)},
        {"unrecoverable", static_cast<double>(report.unrecoverable)}});
   return report;
-}
-
-std::future<void> WeightStore::scrub_async() {
-  return exec::AsyncLane::io().submit([this] { scrub(); });
 }
 
 std::vector<std::string> WeightStore::layer_names() const {

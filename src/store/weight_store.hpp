@@ -34,7 +34,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <list>
 #include <map>
 #include <memory>
@@ -139,8 +138,6 @@ class WeightStore {
   // on-disk damage from the source providers. Drops cached layers for
   // shards it rebuilt.
   ScrubReport scrub();
-  // Runs scrub() on the process I/O lane (exec::AsyncLane::io()).
-  std::future<void> scrub_async();
 
   std::vector<std::string> layer_names() const;
   std::uint64_t layer_floats(const std::string& name) const;  // 0 if unknown

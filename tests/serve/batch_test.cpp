@@ -1,7 +1,7 @@
 // Batched serving: knob parsing, byte-identity of batched dispatch against
-// solo per-request execution (across thread counts and fault modes, at both
-// the resilience and the serving layer), mid-batch deadline isolation, and
-// batch bookkeeping.
+// solo per-request execution — outputs, ledgers and resilience outcomes,
+// across thread counts and fault modes, at both the resilience and the
+// serving layer — mid-batch deadline isolation, and batch bookkeeping.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -99,32 +99,47 @@ TEST(ServeOptionsBatch, KnobsParseAndFailClosed) {
   {
     ScopedEnv b("GEO_SERVE_BATCH", "8");
     ScopedEnv w("GEO_SERVE_BATCH_WAIT_US", "500");
-    ScopedEnv p("GEO_SERVE_PREWARM", "0");
     const ServeOptions o = ServeOptions::from_env();
     EXPECT_EQ(o.batch, 8);
     EXPECT_EQ(o.batch_wait_us, 500);
-    EXPECT_FALSE(o.prewarm);
     EXPECT_NE(o.to_string().find("batch=8"), std::string::npos);
   }
   {
     // Fail-closed: malformed / out-of-range values fall back to defaults.
     ScopedEnv b("GEO_SERVE_BATCH", "bogus");
     ScopedEnv w("GEO_SERVE_BATCH_WAIT_US", "-3");
-    ScopedEnv p("GEO_SERVE_PREWARM", "2");
     const ServeOptions o = ServeOptions::from_env();
     EXPECT_EQ(o.batch, 1);
     EXPECT_EQ(o.batch_wait_us, 0);
-    EXPECT_TRUE(o.prewarm);
   }
   ServeOptions bad;
   bad.batch = 0;
   EXPECT_FALSE(bad.validate().ok());
 }
 
+// Every field of two ledgers.
+void expect_same_stats(const arch::MachineStats& a,
+                       const arch::MachineStats& b) {
+  EXPECT_EQ(a.passes, b.passes);
+  EXPECT_EQ(a.compute_cycles, b.compute_cycles);
+  EXPECT_EQ(a.stall_cycles, b.stall_cycles);
+  EXPECT_EQ(a.retry_stall_cycles, b.retry_stall_cycles);
+  EXPECT_EQ(a.io_stall_cycles, b.io_stall_cycles);
+  EXPECT_EQ(a.nearmem_cycles, b.nearmem_cycles);
+  EXPECT_EQ(a.total_cycles, b.total_cycles);
+  EXPECT_EQ(a.act_buffer_fills, b.act_buffer_fills);
+  EXPECT_EQ(a.wgt_buffer_fills, b.wgt_buffer_fills);
+  EXPECT_EQ(a.psum_ops, b.psum_ops);
+  EXPECT_EQ(a.bn_ops, b.bn_ops);
+  EXPECT_EQ(a.ledger_ok, b.ledger_ok);
+}
+
 // Tentpole contract at the resilience layer: run_conv_batch's per-item
-// results are byte-identical to solo run_conv on the same inputs, across
-// thread counts and fault modes. Faults force the demote path (the shared
-// native rung drains its budget); no-fault exercises the shared rebind path.
+// results — outputs, ledgers and resilience outcomes — are byte-identical to
+// solo run_conv on the same inputs, across thread counts and fault modes.
+// No faults: every item binds the native rung's shared bank. Persistent
+// faults: every item drains the native rung's budget and descends, binding
+// each lower rung's bank in turn.
 TEST(ResilientExecutor, BatchMatchesSoloAcrossThreadsAndFaults) {
   const BatchFixture f(4);
   const HwConfig hw = small_hw();
@@ -138,13 +153,13 @@ TEST(ResilientExecutor, BatchMatchesSoloAcrossThreadsAndFaults) {
 
     // Solo references, one fresh executor per request (the serve_one shape).
     std::vector<arch::MachineResult> expected;
-    std::vector<bool> expected_degraded;
+    std::vector<resilience::LayerOutcome> expected_outcome;
     for (const auto& input : f.inputs) {
       resilience::ResilientExecutor solo(hw, resilience::RetryPolicy{});
       auto r = solo.run_conv(f.shape, f.weights, input, f.ones, f.zeros, 9);
       ASSERT_TRUE(r.ok());
       expected.push_back(*std::move(r));
-      expected_degraded.push_back(solo.report().layers.back().degraded);
+      expected_outcome.push_back(solo.report().layers.back());
     }
 
     for (const int threads : {1, 8}) {
@@ -166,26 +181,44 @@ TEST(ResilientExecutor, BatchMatchesSoloAcrossThreadsAndFaults) {
         EXPECT_EQ(results[i].result->counters, expected[i].counters)
             << "faulted=" << faulted << " threads=" << threads << " item " << i;
         EXPECT_EQ(results[i].result->activations, expected[i].activations);
-        EXPECT_EQ(results[i].degraded, expected_degraded[i]);
-        // No faults: every item rides the shared preparation. Persistent
-        // faults: the shared rung's budget drains and items demote to the
-        // solo ladder.
-        EXPECT_EQ(results[i].shared, !faulted);
+        expect_same_stats(results[i].result->stats, expected[i].stats);
+        const resilience::LayerOutcome& want = expected_outcome[i];
+        EXPECT_EQ(results[i].degraded, want.degraded);
+        EXPECT_EQ(results[i].degraded, faulted);
+        ASSERT_EQ(executor.report().layers.size(), f.inputs.size());
+        const resilience::LayerOutcome& got = executor.report().layers[i];
+        EXPECT_EQ(got.rung, want.rung);
+        EXPECT_EQ(got.degraded, want.degraded);
+        EXPECT_EQ(got.retries, want.retries);
+        EXPECT_EQ(got.tiles_retried, want.tiles_retried);
+        EXPECT_EQ(got.abandoned_cycles, want.abandoned_cycles);
       }
-      ASSERT_EQ(executor.report().layers.size(), f.inputs.size());
     }
   }
 }
 
 // A transient fault model makes reuse of generated weight streams unsound
-// (regeneration draws fresh per-site sequences) — the batch must fall back
-// to per-item solo execution rather than share the preparation.
+// (regeneration draws fresh per-site sequences): the bank refuses a second
+// bind, so each item prepares its own — the same draws, in the same order,
+// as back-to-back solo run_conv calls under an identical model.
 TEST(ResilientExecutor, BatchFallsBackPerItemUnderTransientFaults) {
   const BatchFixture f(2);
   auto cfg = FaultConfig::parse("sram=1e-3,ecc=secded,transient=1,rng=5");
   ASSERT_TRUE(cfg.ok());
-  ScopedFaultInjection scope(*cfg);
 
+  std::vector<arch::MachineResult> expected;
+  {
+    ScopedFaultInjection scope(*cfg);
+    for (const auto& input : f.inputs) {
+      resilience::ResilientExecutor solo(small_hw(),
+                                         resilience::RetryPolicy{});
+      auto r = solo.run_conv(f.shape, f.weights, input, f.ones, f.zeros, 9);
+      ASSERT_TRUE(r.ok());
+      expected.push_back(*std::move(r));
+    }
+  }
+
+  ScopedFaultInjection scope(*cfg);
   resilience::ResilientExecutor executor(small_hw(),
                                          resilience::RetryPolicy{});
   std::vector<resilience::BatchItem> items;
@@ -197,9 +230,11 @@ TEST(ResilientExecutor, BatchFallsBackPerItemUnderTransientFaults) {
   auto results = executor.run_conv_batch(f.shape, f.weights, f.ones, f.zeros,
                                          9, items);
   ASSERT_EQ(results.size(), 2u);
-  for (const auto& r : results) {
-    ASSERT_TRUE(r.result.ok());
-    EXPECT_FALSE(r.shared);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].result.ok());
+    EXPECT_EQ(results[i].result->counters, expected[i].counters);
+    EXPECT_EQ(results[i].result->activations, expected[i].activations);
+    expect_same_stats(results[i].result->stats, expected[i].stats);
   }
 }
 
@@ -258,6 +293,8 @@ TEST(InferenceServer, BatchedOutputsByteIdenticalToUnbatched) {
             << "faulted=" << faulted << " threads=" << threads << " req " << i;
         EXPECT_EQ(r.result.activations,
                   expected[static_cast<std::size_t>(i)].activations);
+        expect_same_stats(r.result.stats,
+                          expected[static_cast<std::size_t>(i)].stats);
         EXPECT_EQ(r.degraded, expected_degraded[static_cast<std::size_t>(i)]);
       }
       const ServeStats s = server.stats();
@@ -265,7 +302,6 @@ TEST(InferenceServer, BatchedOutputsByteIdenticalToUnbatched) {
       EXPECT_EQ(s.failed, 0);
       EXPECT_EQ(s.batches, 1);
       EXPECT_EQ(s.batched_requests, 4);
-      EXPECT_EQ(s.prewarms, 4);  // one per admitted request
     }
   }
 }
@@ -302,9 +338,9 @@ TEST(InferenceServer, MidBatchDeadlineCancelsOnlyExpiredRequest) {
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 4; ++i) {
     Request r = f.request(i);
-    // Poll 1: serve_batch's expired-in-queue check. Poll 2: the batch's
-    // per-item entry check. Poll 3: the first in-execution cancellation
-    // poll — a deterministic mid-execution trip for request 2 only.
+    // Poll 1: dispatch's expired-in-queue check. Poll 2: the item's
+    // rung-entry check. Poll 3: the first in-execution cancellation poll —
+    // a deterministic mid-execution trip for request 2 only.
     if (i == 2) r.trip_after_polls = 3;
     auto fut = server.submit(std::move(r));
     ASSERT_TRUE(fut.ok());

@@ -4,7 +4,6 @@
 // domain, so the suite is runnable under the chaos CI job unchanged.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "arch/machine.hpp"
-#include "exec/async_lane.hpp"
 #include "fault/fault_model.hpp"
 #include "resilience/resilience.hpp"
 #include "serve/serve.hpp"
@@ -394,38 +392,6 @@ TEST(InferenceServer, DestructorDrainsAdmittedRequests) {
     Response r = fut.get();
     EXPECT_TRUE(r.status.ok()) << r.status.to_string();
   }
-}
-
-// Prewarm tasks run on the process-wide io lane, which is never destroyed.
-// A server must not finish destructing while its own prewarms are queued
-// there, or they can run during static destruction at exit. A gate task
-// holds the lane so the server's prewarms are provably still queued when
-// its destructor starts.
-TEST(InferenceServer, DestructorWaitsForItsPrewarms) {
-  const Fixture f;
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  std::future<void> blocker =
-      exec::AsyncLane::io().submit([opened] { opened.wait(); });
-  ServeOptions o = base_options();
-  o.prewarm = true;
-  auto server = std::make_unique<InferenceServer>(small_hw(), o);
-  shield_all_replicas(*server);
-  for (int i = 0; i < 3; ++i) {
-    Response r = server->run(f.request());
-    EXPECT_TRUE(r.status.ok()) << r.status.to_string();
-  }
-  EXPECT_EQ(server->stats().prewarms, 3);
-  std::atomic<bool> destroyed{false};
-  std::thread destroyer([&] {
-    server.reset();
-    destroyed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(destroyed.load()) << "destructor returned with prewarms queued";
-  gate.set_value();
-  destroyer.join();  // returns once the prewarms behind the gate have run
-  blocker.wait();
 }
 
 TEST(InferenceServer, SubmitAfterShutdownWouldBeRefused) {

@@ -363,11 +363,6 @@ TEST(WeightStore, ScrubRepairsRealDamageInPlace) {
   ScrubReport again = store.scrub();
   EXPECT_EQ(again.crc_failures, 0);
   EXPECT_EQ(again.shards_rebuilt, 0);
-
-  // And the async variant completes on the I/O lane.
-  damage_file(dir + "/w.s1.geostor", 120);
-  store.scrub_async().get();
-  EXPECT_EQ(store.scrub().crc_failures, 0);
 }
 
 TEST(StoreOptions, FromEnvParsesSizesAndFailsClosed) {

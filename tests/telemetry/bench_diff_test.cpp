@@ -1,5 +1,5 @@
 // Bench regression gate core: glob matching, numeric flattening, and the
-// tolerance-rule diff that geo_report / scripts/bench_diff.py expose. The
+// tolerance-rule diff that geo_report exposes. The
 // acceptance cases mirror the CI gate: identical documents diff clean, a
 // 10% cycle inflation is caught, an accuracy drop is caught, improvements
 // and wall-clock noise are not flagged, and a vanished metric is treated
