@@ -1,10 +1,16 @@
 #include "nn/sc_layers.hpp"
 
+#include "core/env.hpp"
+#include "fault/fault_model.hpp"
 #include "nn/quantize.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <memory>
+#include <string>
 
 namespace geo::nn {
 namespace {
@@ -233,6 +239,168 @@ TEST(ScModelConfig, KeyDistinguishesConfigs) {
   b.sharing = sc::Sharing::kExtreme;
   EXPECT_NE(a.key(), b.key());
   EXPECT_EQ(ScModelConfig::fixed_point(4).key(), "fxp4");
+}
+
+// ------------------------------------------------ reference pins
+// The SC layers are the reference GeoMachine must match bit for bit, and the
+// forward pass stream-aware training runs through. These tests pin their
+// exact outputs so a rewrite of the forward kernels cannot drift.
+
+// The fault sets every pinned case runs under: clean, then each injection
+// domain the layers model. Column 0 stuck at 1 forces every OR group's
+// 1-bit counter high; column 1 only bites the multi-bit FXP counter.
+constexpr std::array<const char*, 5> kFaultSets = {
+    "", "accum=2e-2,rng=7", "stuck=0:1,rng=7",
+    "sram=1e-2,stream=1e-2,seed=5e-2,rng=7", "accum=1e-2,stuck=1:0,rng=7"};
+
+// Installs the fault set (or pins faults off, overriding any ambient
+// GEO_FAULTS) for the caller's scope.
+std::unique_ptr<fault::ScopedFaultInjection> install_faults(const char* spec) {
+  if (spec[0] == '\0')
+    return std::make_unique<fault::ScopedFaultInjection>(nullptr);
+  return std::make_unique<fault::ScopedFaultInjection>(
+      fault::FaultConfig::parse(spec).value());
+}
+
+std::uint64_t fold(std::uint64_t h, const Tensor& t) {
+  for (const float v : t.data())
+    h = core::mix64(h ^ std::bit_cast<std::uint32_t>(v));
+  return h;
+}
+
+enum class StreamKind { kLfsr, kTrng, kProgressive };
+
+ScLayerConfig pinned_cfg(AccumMode accum, StreamKind kind) {
+  ScLayerConfig c;
+  c.accum = accum;
+  c.layer_salt = 12;
+  switch (kind) {
+    case StreamKind::kLfsr: c.stream_len = 128; break;
+    case StreamKind::kTrng:
+      c.stream_len = 32;
+      c.rng = sc::RngKind::kTrng;
+      break;
+    case StreamKind::kProgressive:
+      c.stream_len = 64;
+      c.progressive = true;
+      break;
+  }
+  return c;
+}
+
+// Two forward passes (TRNG draws fresh streams per pass) and one backward
+// through the second pass's OR attenuation, under every fault set, folded
+// into one fingerprint.
+template <typename MakeLayer>
+std::uint64_t fingerprint(MakeLayer make, const Tensor& x) {
+  std::uint64_t h = 0;
+  for (const char* spec : kFaultSets) {
+    const auto faults = install_faults(spec);
+    auto layer = make();
+    h = fold(h, layer->forward(x, true));
+    const Tensor y = layer->forward(x, true);
+    h = fold(h, y);
+    h = fold(h, layer->backward(random_acts(y.shape(), 31, -1.0f, 1.0f)));
+  }
+  return h;
+}
+
+constexpr std::array<AccumMode, 5> kModes = {
+    AccumMode::kOr, AccumMode::kPbw, AccumMode::kPbhw, AccumMode::kFxp,
+    AccumMode::kApc};
+constexpr std::array<StreamKind, 3> kKinds = {
+    StreamKind::kLfsr, StreamKind::kTrng, StreamKind::kProgressive};
+constexpr std::array<const char*, 3> kKindNames = {"lfsr", "trng", "prog"};
+
+// Golden fingerprints, rows in kModes order, columns in kKinds order.
+constexpr std::uint64_t kConvGolden[5][3] = {
+    {0xdfdbc84560d06079ull, 0x5bf61cd75b4eb43full, 0xe53b4b5dcd310dbdull},
+    {0xade2696c0450bf87ull, 0xf17b7f2d524f4d88ull, 0xfcf1164530424e57ull},
+    {0x2223e3330f1b9437ull, 0xba8985583ea3b6c3ull, 0x6326d8ef603a54d1ull},
+    {0xb122ec42dd8141c9ull, 0x0030358d7eb9f7afull, 0xb470e255f0839db3ull},
+    {0xb65e9e7bb2f543a7ull, 0x27e028204e943cb1ull, 0x2d535c7ff694fc19ull},
+};
+constexpr std::uint64_t kLinearGolden[5][3] = {
+    {0xf59b6f86ef6c472bull, 0x56d2f01e5adb3f37ull, 0xa05f6298b9e6d6bcull},
+    {0x53832be3695dfbdfull, 0x2d4e6b1b2256887cull, 0x6f2fcb08e3f89f70ull},
+    {0x53832be3695dfbdfull, 0x2d4e6b1b2256887cull, 0x6f2fcb08e3f89f70ull},
+    {0x17dd7c9757e9d40eull, 0x5f4be34d3b4430deull, 0x855c03431dd44ae3ull},
+    {0xf4c2a23ea406357aull, 0x1db2c44bfcf1337aull, 0x5714a69183b5349full},
+};
+
+void expect_golden(const char* layer, std::size_t m, std::size_t k,
+                   std::uint64_t got, std::uint64_t want) {
+  EXPECT_EQ(got, want) << layer << " " << to_string(kModes[m]) << "/"
+                       << kKindNames[k] << ": got 0x" << std::hex << got;
+}
+
+TEST(ScConv2d, GoldenFingerprintsAcrossModesStreamsAndFaults) {
+  // Padded 3x3 windows: edge outputs see fewer taps than PBW/PBHW groups.
+  const Tensor x = random_acts({2, 3, 5, 5}, 33);
+  for (std::size_t m = 0; m < kModes.size(); ++m)
+    for (std::size_t k = 0; k < kKinds.size(); ++k) {
+      const std::uint64_t got = fingerprint(
+          [&] {
+            std::mt19937 rng(35);
+            return std::make_unique<ScConv2d>(
+                3, 4, 3, 1, 1, rng, pinned_cfg(kModes[m], kKinds[k]));
+          },
+          x);
+      expect_golden("conv", m, k, got, kConvGolden[m][k]);
+    }
+}
+
+TEST(ScLinear, GoldenFingerprintsAcrossModesStreamsAndFaults) {
+  // 37 inputs in fc_group = 16 groups: the last group is short.
+  const Tensor x = random_acts({2, 37}, 37);
+  for (std::size_t m = 0; m < kModes.size(); ++m)
+    for (std::size_t k = 0; k < kKinds.size(); ++k) {
+      const std::uint64_t got = fingerprint(
+          [&] {
+            std::mt19937 rng(39);
+            return std::make_unique<ScLinear>(
+                37, 5, rng, pinned_cfg(kModes[m], kKinds[k]));
+          },
+          x);
+      expect_golden("linear", m, k, got, kLinearGolden[m][k]);
+    }
+}
+
+TEST(ScLinear, MatchesOneByOneConvWhereGroupsAgree) {
+  // A linear layer is a 1x1 convolution over a (in, 1, 1) map. Where the
+  // two layers' OR-group maps agree (one group under OR; none under FXP and
+  // APC), seeds, fault sites and TRNG pass specs must agree too, so the
+  // outputs are byte-identical.
+  const Tensor x = random_acts({2, 37}, 41);
+  const Tensor x4 = x.reshaped({2, 37, 1, 1});
+  for (const AccumMode mode :
+       {AccumMode::kOr, AccumMode::kFxp, AccumMode::kApc})
+    for (const int len : {32, 64, 128})
+      for (const sc::RngKind rng_kind :
+           {sc::RngKind::kLfsr, sc::RngKind::kTrng})
+        for (const char* spec : kFaultSets) {
+          SCOPED_TRACE(std::string(to_string(mode)) + " L=" +
+                       std::to_string(len) + " " + sc::to_string(rng_kind) +
+                       " faults='" + spec + "'");
+          ScLayerConfig c = cfg(mode, len, sc::Sharing::kModerate, rng_kind);
+          c.progressive = len == 64;
+          const auto faults = install_faults(spec);
+          std::mt19937 rng_a(43), rng_b(43);
+          ScLinear lin(37, 5, rng_a, c);
+          ScConv2d conv(37, 5, 1, 1, 0, rng_b, c);
+          lin.bias().value.fill(0.0f);
+          for (std::size_t i = 0; i < lin.weight().value.size(); ++i)
+            conv.weight().value[i] = lin.weight().value[i];
+          for (int pass = 0; pass < 2; ++pass) {
+            const Tensor yl = lin.forward(x, false);
+            const Tensor yc = conv.forward(x4, false);
+            ASSERT_EQ(yl.size(), yc.size());
+            for (std::size_t i = 0; i < yl.size(); ++i)
+              ASSERT_EQ(std::bit_cast<std::uint32_t>(yl[i]),
+                        std::bit_cast<std::uint32_t>(yc[i]))
+                  << "pass " << pass << " output " << i;
+          }
+        }
 }
 
 }  // namespace
