@@ -38,8 +38,9 @@
 
 namespace geo::bench {
 
-// Checked parse (core::env_int): malformed values warn once on stderr and
-// fall back, instead of atoi's silent garbage -> 0.
+// Checked parse (core::env_int): a malformed value is rejected once
+// (stderr + `config.invalid` journal entry) and falls back, instead of
+// atoi's silent garbage -> 0.
 inline int env_int(const char* name, int fallback) {
   return static_cast<int>(core::env_int(name, fallback, INT_MIN, INT_MAX));
 }

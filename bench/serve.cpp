@@ -375,8 +375,9 @@ int main() {
     o.breaker_strikes = 2;
     o.probe_after = 4;
     // The CI chaos-soak matrix sets GEO_SERVE_BATCH so this burst exercises
-    // the coalesced dispatch (and its per-item demotion) under faults; the
-    // request accounting below is identical at any batch size.
+    // the coalesced dispatch (one shared weight bank, one run per member)
+    // under faults; the request accounting below is identical at any batch
+    // size.
     o.batch = std::clamp(geo::bench::env_int("GEO_SERVE_BATCH", 1), 1, 64);
     InferenceServer server(hw, o);
     for (int r = 0; r < o.replicas; ++r)

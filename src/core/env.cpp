@@ -28,8 +28,7 @@ std::optional<std::uint64_t> global_seed() {
     const char* end = v + std::strlen(v);
     const auto [ptr, ec] = std::from_chars(v, end, parsed);
     if (ec != std::errc() || ptr != end) {
-      std::fprintf(stderr, "[geo] GEO_SEED='%s' is not a uint64; ignored\n",
-                   v);
+      reject_knob("GEO_SEED", v, "is not a uint64");
       return std::nullopt;
     }
     return parsed;
@@ -62,17 +61,19 @@ std::optional<T> parse_whole(std::string_view text) {
   return parsed;
 }
 
-// Warn at most once per variable name, even though the value itself is
-// re-read on every call (cheap, and lets tests exercise several values).
-void warn_once(const char* name, const char* value, const char* what) {
-  static std::mutex mu;
-  static std::set<std::string>* warned = new std::set<std::string>();
-  const std::lock_guard<std::mutex> lock(mu);
-  if (!warned->insert(name).second) return;
-  std::fprintf(stderr, "[geo] %s='%s' %s; ignored\n", name, value, what);
-}
-
 }  // namespace
+
+void reject_knob(const char* name, const char* value, const char* what) {
+  static std::mutex mu;
+  static std::set<std::string>* rejected = new std::set<std::string>();
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    if (!rejected->insert(name).second) return;
+  }
+  std::fprintf(stderr, "[geo] %s='%s' %s; ignored\n", name, value, what);
+  if (auto& journal = telemetry::Journal::instance(); journal.enabled())
+    journal.record("config.invalid", name, {}, what);
+}
 
 std::optional<std::uint64_t> parse_uint(std::string_view text) {
   return parse_whole<std::uint64_t>(text);
@@ -87,12 +88,13 @@ std::int64_t env_int(const char* name, std::int64_t fallback, std::int64_t lo,
   const char* v = std::getenv(name);
   if (v == nullptr || v[0] == '\0') return fallback;
   const std::optional<std::int64_t> parsed = parse_int(v);
-  if (!parsed.has_value()) {
-    warn_once(name, v, "is not an integer");
-    return fallback;
-  }
-  if (*parsed < lo || *parsed > hi) {
-    warn_once(name, v, "is out of range");
+  const char* what = nullptr;
+  if (!parsed.has_value())
+    what = "is not an integer";
+  else if (*parsed < lo || *parsed > hi)
+    what = "is out of range";
+  if (what != nullptr) {
+    reject_knob(name, v, what);
     return fallback;
   }
   return *parsed;
@@ -144,11 +146,7 @@ std::int64_t env_size(const char* name, std::int64_t fallback_bytes,
   else if (*parsed < lo || *parsed > hi)
     what = "is out of range";
   if (what != nullptr) {
-    warn_once(name, v, what);
-    // Mirror the GEO_RETRY precedent: a rejected knob must survive into
-    // postmortems, not just scroll past on stderr.
-    if (auto& journal = telemetry::Journal::instance(); journal.enabled())
-      journal.record("config.invalid", name, {}, what);
+    reject_knob(name, v, what);
     return fallback_bytes;
   }
   return *parsed;

@@ -12,11 +12,13 @@
 // Components pass a `domain` string so different consumers of the same
 // master seed stay decorrelated.
 //
-// Integer knobs (GEO_THREADS, GEO_RETRY, GEO_CRASH_AFTER_EPOCH, the
-// GEO_BENCH_* sizes) go through `env_int`: a strict whole-string parse where
-// malformed or out-of-range values are reported once per variable on stderr
-// and then ignored, mirroring the `global_seed` contract. Silent `atoi`
-// fallbacks (garbage -> 0, UB on overflow) are a bug; don't add new ones.
+// Integer knobs (GEO_THREADS, GEO_SERVE_*, GEO_STREAM_TABLE,
+// GEO_CRASH_AFTER_EPOCH, the GEO_BENCH_* sizes) go through `env_int`, byte
+// sizes through `env_size`: a strict whole-string parse where a malformed or
+// out-of-range value fails closed through `reject_knob` (one stderr warning
+// and one `config.invalid` journal entry per variable) and the default is
+// used. Silent `atoi` fallbacks (garbage -> 0, UB on overflow) are a bug;
+// don't add new ones.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +28,7 @@
 namespace geo::core {
 
 // The GEO_SEED value, parsed once per process (empty/garbage counts as
-// unset; a parse failure is reported once on stderr).
+// unset; a parse failure is rejected through `reject_knob`).
 std::optional<std::uint64_t> global_seed();
 
 // `fallback` when GEO_SEED is unset; otherwise a 64-bit value derived
@@ -43,11 +45,16 @@ std::uint64_t mix64(std::uint64_t x) noexcept;
 std::optional<std::uint64_t> parse_uint(std::string_view text);
 std::optional<std::int64_t> parse_int(std::string_view text);
 
+// Fail-closed report of a rejected knob value: the first rejection of each
+// variable warns on stderr and records a `config.invalid` journal entry (a
+// sweep that silently ran on defaults must show up in postmortems); later
+// rejections of the same variable stay quiet.
+void reject_knob(const char* name, const char* value, const char* what);
+
 // Checked integer environment knob. Returns `fallback` when `name` is unset
-// or empty. A malformed value, or one outside [lo, hi], is reported once per
-// variable on stderr (like global_seed) and treated as unset. The variable
-// is re-read on every call so tests can vary it; only the warning is
-// deduplicated.
+// or empty. A malformed value, or one outside [lo, hi], is rejected through
+// `reject_knob` and treated as unset. The variable is re-read on every call
+// so tests can vary it; only the report is deduplicated.
 std::int64_t env_int(const char* name, std::int64_t fallback,
                      std::int64_t lo = INT64_MIN, std::int64_t hi = INT64_MAX);
 
@@ -62,10 +69,7 @@ std::optional<std::int64_t> parse_size(std::string_view text,
 
 // Checked byte-size environment knob built on parse_size. Returns
 // `fallback_bytes` when unset/empty. A malformed value, or one outside
-// [lo, hi] bytes, is reported once per variable on stderr *and* recorded as
-// a `config.invalid` journal entry (matching the GEO_RETRY precedent — a
-// sweep whose cache silently ran on defaults must show up in postmortems),
-// then treated as unset.
+// [lo, hi] bytes, is rejected through `reject_knob` and treated as unset.
 std::int64_t env_size(const char* name, std::int64_t fallback_bytes,
                       std::int64_t unit = 1, std::int64_t lo = 0,
                       std::int64_t hi = INT64_MAX);

@@ -186,8 +186,9 @@ std::optional<FaultConfig> FaultConfig::from_env() {
   if (v == nullptr || v[0] == '\0') return std::nullopt;
   auto parsed = parse(v);
   if (!parsed.ok()) {
-    std::fprintf(stderr, "[geo] fault injection disabled: %s\n",
-                 parsed.status().to_string().c_str());
+    core::reject_knob(
+        "GEO_FAULTS", v,
+        ("is invalid (" + parsed.status().message() + ")").c_str());
     return std::nullopt;
   }
   return *parsed;

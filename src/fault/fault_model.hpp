@@ -110,8 +110,9 @@ struct FaultConfig {
   static geo::StatusOr<FaultConfig> parse(std::string_view spec);
 
   // GEO_FAULTS, parsed fresh on each call. Unset/empty -> nullopt; a
-  // malformed spec warns once per call on stderr and returns nullopt (faults
-  // off), never aborts the host program.
+  // malformed spec is rejected through core::reject_knob (stderr warning and
+  // `config.invalid` journal entry, once per process) and returns nullopt
+  // (faults off), never aborts the host program.
   static std::optional<FaultConfig> from_env();
 
   std::string to_string() const;

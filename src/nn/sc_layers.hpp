@@ -17,6 +17,7 @@
 #include <span>
 #include <vector>
 
+#include "fault/fault_model.hpp"
 #include "nn/layers.hpp"
 #include "nn/sc_config.hpp"
 
@@ -41,6 +42,23 @@ struct ScLayerConfig {
   static ScLayerConfig from_model(const ScModelConfig& model, int stream_len,
                                   int layer_index);
 };
+
+// Generates one magnitude stream into `dst` (wpl words, `length` bits): the
+// one stream generator of the SC forward pass, shared by the nn SC layers and
+// arch::GeoMachine so the two agree bit for bit. `q` is the magnitude in the
+// `cfg.value_bits` fixed-point domain. `fm` may be null; when set, seed
+// upsets hit the SNG before generation and stream bit flips hit the buffer
+// after, keyed by (domain, site) so both sides inject the identical faults
+// into the identical slots. The spec is corrupted before the stream-table
+// cache is keyed, so a seed-upset stream is served from the corrupted
+// sequence's table, never the healthy one. `use_table` routes through the
+// shared-sequence cache (sc/stream_table.hpp); off, the calling thread's
+// reusable generator ticks bit-serially. Both are bit-identical.
+void generate_stream(std::uint64_t* dst, std::size_t wpl, std::size_t length,
+                     const ScLayerConfig& cfg, sc::SeedSpec spec,
+                     std::uint32_t q, fault::FaultModel* fm,
+                     fault::FaultModel::Site domain, std::uint64_t site,
+                     bool use_table);
 
 // Bit-exact fixed-point reference for one convolution layer: quantizes the
 // operands exactly like the SC stream generators (|w| and a to `value_bits`

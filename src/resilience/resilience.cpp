@@ -1,7 +1,6 @@
 #include "resilience/resilience.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <unordered_set>
@@ -86,14 +85,9 @@ RetryPolicy RetryPolicy::from_env() {
   if (v == nullptr || v[0] == '\0') return RetryPolicy{};
   auto parsed = RetryPolicy::parse(v);
   if (!parsed.ok()) {
-    std::fprintf(stderr, "geo: ignoring GEO_RETRY: %s\n",
-                 parsed.status().message().c_str());
-    // The rejection must survive into postmortems, not just scroll past on
-    // stderr: a chaos run whose retry ladder silently ran on defaults is
-    // otherwise indistinguishable from a tuned one.
-    if (auto& journal = telemetry::Journal::instance(); journal.enabled())
-      journal.record("config.invalid", "GEO_RETRY", {},
-                     parsed.status().message());
+    core::reject_knob(
+        "GEO_RETRY", v,
+        ("is invalid (" + parsed.status().message() + ")").c_str());
     return RetryPolicy{};
   }
   return *std::move(parsed);

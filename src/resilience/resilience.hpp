@@ -55,9 +55,9 @@ struct RetryPolicy {
   static geo::StatusOr<RetryPolicy> parse(std::string_view spec);
 
   // GEO_RETRY, parsed fresh on each call. Unset/empty -> defaults; a
-  // malformed spec warns on stderr, records a `config.invalid` journal
-  // entry (so chaos-run postmortems show the rejected spec), and returns
-  // the defaults — never aborts.
+  // malformed spec is rejected through core::reject_knob (stderr warning and
+  // `config.invalid` journal entry, once per process) and returns the
+  // defaults — never aborts.
   static RetryPolicy from_env();
 
   std::string to_string() const;

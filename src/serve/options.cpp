@@ -1,13 +1,11 @@
 #include "serve/serve.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string_view>
 
 #include "core/env.hpp"
-#include "telemetry/journal.hpp"
 
 namespace geo::serve {
 
@@ -20,13 +18,7 @@ resilience::Rung steer_from_env() {
   if (v == "pbw") return resilience::Rung::kPbw;
   if (v == "fxp") return resilience::Rung::kFxp;
   if (v == "reference") return resilience::Rung::kReference;
-  std::fprintf(stderr,
-               "geo: GEO_SERVE_STEER='%s' is not pbw|fxp|reference; "
-               "using reference\n",
-               raw);
-  if (auto& journal = telemetry::Journal::instance(); journal.enabled())
-    journal.record("config.invalid", "GEO_SERVE_STEER", {},
-                   "is not pbw|fxp|reference");
+  core::reject_knob("GEO_SERVE_STEER", raw, "is not pbw|fxp|reference");
   return resilience::Rung::kReference;
 }
 

@@ -4,13 +4,13 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 
+#include "core/env.hpp"
 #include "telemetry/json.hpp"
 
 namespace geo::telemetry {
@@ -45,7 +45,8 @@ std::string args_to_json(std::initializer_list<JournalArg> args) {
 
 // GEO_JOURNAL_CAP, fail-closed like core::env_int: unset or empty keeps the
 // default; a malformed value, or one outside [16, 2^22], is rejected and the
-// default is used. `rejected` names the reason for the caller to report.
+// default is used. `rejected` names the reason for the caller to report
+// (core::reject_knob would re-enter the journal under construction).
 struct CapacityKnob {
   std::size_t capacity = kDefaultCapacity;
   const char* raw = nullptr;
@@ -56,15 +57,13 @@ CapacityKnob env_capacity() {
   CapacityKnob knob;
   knob.raw = std::getenv("GEO_JOURNAL_CAP");
   if (knob.raw == nullptr || knob.raw[0] == '\0') return knob;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(knob.raw, &end, 10);
-  if (end == knob.raw || *end != '\0' || errno == ERANGE)
+  const std::optional<std::int64_t> v = core::parse_int(knob.raw);
+  if (!v.has_value())
     knob.rejected = "is not an integer";
-  else if (v < 16 || v > static_cast<long long>(kMaxCapacity))
+  else if (*v < 16 || *v > static_cast<std::int64_t>(kMaxCapacity))
     knob.rejected = "is out of range [16, 4194304]";
   else
-    knob.capacity = static_cast<std::size_t>(v);
+    knob.capacity = static_cast<std::size_t>(*v);
   return knob;
 }
 

@@ -1,9 +1,13 @@
 #include "core/env.hpp"
 
+#include "telemetry/journal.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <string>
 
 namespace geo::core {
 namespace {
@@ -128,6 +132,27 @@ TEST(EnvInt, ReReadsTheEnvironmentEachCall) {
   ::setenv("GEO_TEST_KNOB2", "2", 1);
   EXPECT_EQ(env_int("GEO_TEST_KNOB2", 0), 2);
   ::unsetenv("GEO_TEST_KNOB2");
+}
+
+// Integer knobs fail closed like every other knob: a rejected value leaves a
+// `config.invalid` journal entry, once per variable however often the knob
+// is read.
+TEST(EnvInt, MalformedKnobIsJournaledOnce) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "geo_env_int.jsonl").string();
+  auto& journal = telemetry::Journal::instance();
+  journal.disable();
+  journal.enable(path, 64);
+  ::setenv("GEO_TEST_KNOB3", "lots", 1);
+  EXPECT_EQ(env_int("GEO_TEST_KNOB3", 5), 5);
+  EXPECT_EQ(env_int("GEO_TEST_KNOB3", 5), 5);
+  ::unsetenv("GEO_TEST_KNOB3");
+  int entries = 0;
+  for (const telemetry::JournalEntry& e : journal.snapshot())
+    entries += e.kind == "config.invalid" && e.label == "GEO_TEST_KNOB3";
+  journal.disable();
+  std::filesystem::remove(path);
+  EXPECT_EQ(entries, 1);
 }
 
 }  // namespace
