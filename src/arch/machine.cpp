@@ -101,7 +101,7 @@ struct PreparedConv {
   // at ((t * wpl + k) * cout + oc), so one vector load covers neighbouring
   // channels. A short stream is replicated into every window slot of its
   // word. Both MAC paths read this one bank.
-  std::vector<std::uint64_t> wpos, wneg;
+  nn::WeightBank bank;
 
   std::int64_t tiles_cg = 0, tiles_wg = 0;
 
@@ -395,8 +395,8 @@ MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
     const std::size_t widx =
         static_cast<std::size_t>(tap_lo) * pc.wpl * cout +
         static_cast<std::size_t>(cg * pc.R);
-    const std::uint64_t* wp = pc.wpos.data() + widx;
-    const std::uint64_t* wn = pc.wneg.data() + widx;
+    const std::uint64_t* wp = pc.bank.pos.get() + widx;
+    const std::uint64_t* wn = pc.bank.neg.get() + widx;
     auto oidx_of = [&](int c, int w) {
       return static_cast<std::size_t>((cg * pc.R + c) * pc.xy +
                                       wg * pc.windows_per_pass + w);
@@ -823,52 +823,19 @@ geo::StatusOr<std::shared_ptr<const PreparedConv>> GeoMachine::prepare(
   }
 
   // ---- weight memory -> weight SNG streams (whole filter bank) ----------
-  pc->wpos.assign(weights.size() * wpl, 0);
-  pc->wneg.assign(weights.size() * wpl, 0);
   {
     telemetry::ScopedTimer t("machine.weight_streams", "machine",
                              {{"streams", static_cast<double>(
                                    weights.size())}});
-    // Each stream writes disjoint words of wpos/wneg and every fault site
-    // is touched exactly once, so the fan-out is order-independent — byte-
-    // identical to the old nested serial loop at any thread count. The walk
-    // follows the bank's (tap, channel) order so its stores stay sequential.
-    const std::int64_t kw = shape.kw, kh = shape.kh, cin = shape.cin;
-    const std::int64_t K = pc->K, cout = shape.cout;
-    const int pack = pc->pack;
-    const unsigned slot_bits = pc->slot_bits;
-    exec::parallel_for(
-        static_cast<std::int64_t>(weights.size()), [&](std::int64_t b) {
-          const int oc = static_cast<int>(b % cout);
-          const std::int64_t t = b / cout;
-          const std::int64_t i = oc * K + t;
-          const std::size_t idx = static_cast<std::size_t>(i);
-          const int kx = static_cast<int>(t % kw);
-          const int ky = static_cast<int>((t / kw) % kh);
-          const int ic = static_cast<int>((t / (kw * kh)) % cin);
-          const float w = std::clamp(weights[idx], -1.0f, 1.0f);
-          std::uint32_t q =
-              nn::quantize_unsigned(std::abs(w), cfg.value_bits);
-          if (fm != nullptr)
-            q = fm->sram_read(q, cfg.value_bits,
-                              fault::FaultModel::Site::kWeightSram, idx);
-          const sc::SeedSpec spec = pc->alloc->weight({oc, ic, ky, kx});
-          thread_local std::vector<std::uint64_t> stream;
-          stream.resize(wpl);
-          nn::generate_stream(stream.data(), wpl,
-                              static_cast<std::size_t>(L), cfg, spec, q, fm,
-                              fault::FaultModel::Site::kWeightStream, idx,
-                              pc->use_stream_table);
-          std::uint64_t* bank = (w >= 0.0f ? pc->wpos : pc->wneg).data() +
-                                static_cast<std::size_t>(t * cout) * wpl +
-                                static_cast<std::size_t>(oc);
-          for (std::size_t k = 0; k < wpl; ++k) {
-            std::uint64_t word = 0;
-            for (int s = 0; s < pack; ++s)
-              word |= stream[k] << (static_cast<unsigned>(s) * slot_bits);
-            bank[k * static_cast<std::size_t>(cout)] = word;
-          }
-        });
+    const auto cout = static_cast<std::size_t>(shape.cout);
+    pc->bank = nn::build_weight_bank(
+        weights, ext, cfg, *pc->alloc,
+        {.oc_stride = 1, .tap_stride = wpl * cout, .word_stride = cout,
+         .pack = pc->pack, .slot_bits = pc->slot_bits},
+        fm, pc->use_stream_table);
+    t.end_arg("generators", static_cast<double>(pc->bank.generators));
+    t.end_arg("per_weight_streams",
+              static_cast<double>(pc->bank.per_weight_streams));
   }
 
   if (fm != nullptr)

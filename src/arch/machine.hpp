@@ -14,11 +14,13 @@
 // Functional contract (tested): the pre-BN output counts equal what the
 // nn::ScConv2d reference computes for the same configuration, seed layout
 // and quantized operands — the hardware mapping (rows, windows, kernel
-// slices) must not change the arithmetic. Both sides draw every stream from
-// the one nn::generate_stream; the MAC reductions stay independent. The nn
-// reference runs ScLinear as its conv kernel on a 1x1 map with contiguous
-// fc_group-input OR groups, while the machine maps an FC layer as a 1x1
-// conv with one PBW group, so FC layers are outside the contract.
+// slices) must not change the arithmetic. Both sides fill their weight
+// banks with the one nn::build_weight_bank (each in its own layout) and draw
+// every other stream from the one nn::generate_stream; the MAC reductions
+// stay independent. The nn reference runs ScLinear as its conv kernel on a
+// 1x1 map with contiguous fc_group-input OR groups, while the machine maps
+// an FC layer as a 1x1 conv with one PBW group, so FC layers are outside
+// the contract.
 #pragma once
 
 #include <cstdint>

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/env.hpp"
+#include "exec/thread_pool.hpp"
 #include "nn/quantize.hpp"
 #include "sc/progressive.hpp"
 #include "sc/simd.hpp"
@@ -67,33 +68,6 @@ ScLayerConfig ScLayerConfig::from_model(const ScModelConfig& model,
   return cfg;
 }
 
-void generate_stream(std::uint64_t* dst, std::size_t wpl, std::size_t length,
-                     const ScLayerConfig& cfg, sc::SeedSpec spec,
-                     std::uint32_t q, fault::FaultModel* fm,
-                     fault::FaultModel::Site domain, std::uint64_t site,
-                     bool use_table) {
-  std::fill(dst, dst + wpl, 0);
-  if (fm != nullptr) spec = fm->corrupt_seed(spec, site);
-  if (q != 0) {
-    const unsigned n = spec.bits;
-    sc::StreamGenerator& gen = sc::StreamGenerator::local();
-    if (cfg.progressive) {
-      sc::ProgressiveSchedule sched;
-      sched.value_bits = cfg.value_bits;
-      sched.lfsr_bits = n;
-      gen.generate_progressive(dst, wpl, length, cfg.rng, spec, sched, q,
-                               use_table);
-    } else {
-      const std::uint32_t vn = n >= cfg.value_bits
-                                   ? q << (n - cfg.value_bits)
-                                   : q >> (cfg.value_bits - n);
-      gen.generate(dst, wpl, length, cfg.rng, spec, vn, use_table);
-    }
-  }
-  // A defective buffer cell flips bits even in an all-zero stream.
-  if (fm != nullptr) fm->corrupt_stream(dst, length, domain, site);
-}
-
 namespace {
 
 // For TRNGs, a fresh pass must see fresh randomness while preserving the
@@ -106,6 +80,145 @@ sc::SeedSpec pass_spec(const ScLayerConfig& cfg, sc::SeedSpec spec,
         core::mix64(spec.seed ^ (pass * 0xD1B54A32D192ED03ull)) | 1u);
   return spec;
 }
+
+// The plain SNG's comparator value for magnitude q on an n-bit generator.
+std::uint32_t plain_value(const ScLayerConfig& cfg, unsigned n,
+                          std::uint32_t q) {
+  return n >= cfg.value_bits ? q << (n - cfg.value_bits)
+                             : q >> (cfg.value_bits - n);
+}
+
+sc::ProgressiveSchedule progressive_schedule(const ScLayerConfig& cfg,
+                                             unsigned n) {
+  sc::ProgressiveSchedule sched;
+  sched.value_bits = cfg.value_bits;
+  sched.lfsr_bits = n;
+  return sched;
+}
+
+}  // namespace
+
+void generate_stream(std::uint64_t* dst, std::size_t wpl, std::size_t length,
+                     const ScLayerConfig& cfg, sc::SeedSpec spec,
+                     std::uint32_t q, fault::FaultModel* fm,
+                     fault::FaultModel::Site domain, std::uint64_t site,
+                     bool use_table) {
+  std::fill(dst, dst + wpl, 0);
+  if (fm != nullptr) spec = fm->corrupt_seed(spec, site);
+  if (q != 0) {
+    const unsigned n = spec.bits;
+    sc::StreamGenerator& gen = sc::StreamGenerator::local();
+    if (cfg.progressive)
+      gen.generate_progressive(dst, wpl, length, cfg.rng, spec,
+                               progressive_schedule(cfg, n), q, use_table);
+    else
+      gen.generate(dst, wpl, length, cfg.rng, spec, plain_value(cfg, n, q),
+                   use_table);
+  }
+  // A defective buffer cell flips bits even in an all-zero stream.
+  if (fm != nullptr) fm->corrupt_stream(dst, length, domain, site);
+}
+
+WeightBank build_weight_bank(std::span<const float> weights,
+                             const sc::KernelExtents& ext,
+                             const ScLayerConfig& cfg,
+                             const sc::SeedAllocator& alloc,
+                             const WeightBankLayout& layout,
+                             fault::FaultModel* fm, bool use_table,
+                             std::optional<std::uint64_t> trng_pass) {
+  const std::size_t len = static_cast<std::size_t>(cfg.stream_len);
+  const std::size_t wpl = (len + 63) / 64;
+  const unsigned n = alloc.bits();
+  const int K = ext.cin * ext.kh * ext.kw;
+  WeightBank bank;
+  bank.pos = std::make_unique_for_overwrite<std::uint64_t[]>(weights.size() *
+                                                             wpl);
+  bank.neg = std::make_unique_for_overwrite<std::uint64_t[]>(weights.size() *
+                                                             wpl);
+
+  // Fast path: one table per generator, each stream a row of its table.
+  std::vector<const sc::StreamTable*> tables;
+  if (fm == nullptr && use_table && cfg.rng != sc::RngKind::kTrng) {
+    auto& registry = sc::StreamTableRegistry::instance();
+    tables.resize(alloc.weight_ids());
+    for (std::size_t id = 0; id < tables.size(); ++id) {
+      ++bank.generators;
+      tables[id] = registry.acquire(cfg.rng, alloc.weight_spec(id), len);
+      if (tables[id] == nullptr) {
+        tables.clear();
+        break;
+      }
+    }
+  }
+  if (tables.empty()) bank.per_weight_streams = weights.size();
+  std::optional<sc::ProgressivePlan> plan;
+  if (!tables.empty() && cfg.progressive)
+    plan.emplace(progressive_schedule(cfg, n), len);
+
+  // Multiplying a stream word by `spread` copies it into every slot (no
+  // carries: a packed stream fits one slot).
+  std::uint64_t spread = 0;
+  for (int s = 0; s < layout.pack; ++s)
+    spread |= 1ull << (static_cast<unsigned>(s) * layout.slot_bits);
+
+  // One iteration per row of the layout's outer dimension, so the stores
+  // of a row stay close. Rows write disjoint words and every fault site is
+  // touched once, so the fill is byte-identical at any thread count.
+  const bool tap_major = layout.tap_stride > layout.oc_stride;
+  exec::parallel_for(tap_major ? K : ext.cout, [&](std::int64_t o) {
+    // Locals, not captures: the captures escape into parallel_for, so the
+    // compiler would reload each of them after every call in the loop.
+    const WeightBankLayout lay = layout;
+    const std::size_t nw = wpl;
+    const std::uint64_t copies = spread;
+    const int taps = K, inner = tap_major ? ext.cout : K;
+    const unsigned vb = cfg.value_bits;
+    std::uint64_t* const pos = bank.pos.get();
+    std::uint64_t* const neg = bank.neg.get();
+    const sc::StreamTable* const* const table =
+        tables.empty() ? nullptr : tables.data();
+    const sc::ProgressivePlan* const prog = plan ? &*plan : nullptr;
+    thread_local std::vector<std::uint64_t> buf;
+    buf.resize(nw);
+    for (int i = 0; i < inner; ++i) {
+      const int oc = tap_major ? i : static_cast<int>(o);
+      const int t = tap_major ? static_cast<int>(o) : i;
+      const std::size_t idx = static_cast<std::size_t>(oc) * taps + t;
+      const float w = std::clamp(weights[idx], -1.0f, 1.0f);
+      std::uint32_t q = quantize_unsigned(std::abs(w), vb);
+      const std::uint64_t* stream = buf.data();
+      if (table != nullptr) {
+        const sc::StreamTable& tab = *table[alloc.weight_id(oc, t)];
+        if (prog != nullptr) {
+          std::fill(buf.begin(), buf.end(), 0);
+          prog->compose(buf.data(), tab, q);
+        } else {
+          // q < 2^value_bits: the comparator value needs no saturation.
+          stream = tab.row(plain_value(cfg, n, q));
+        }
+      } else {
+        using Site = fault::FaultModel::Site;
+        if (fm != nullptr) q = fm->sram_read(q, vb, Site::kWeightSram, idx);
+        sc::SeedSpec spec = alloc.weight(
+            {oc, t / (ext.kh * ext.kw), t / ext.kw % ext.kh, t % ext.kw});
+        if (trng_pass) spec = pass_spec(cfg, spec, *trng_pass);
+        generate_stream(buf.data(), nw, len, cfg, spec, q, fm,
+                        Site::kWeightStream, idx, use_table);
+      }
+      const std::size_t base = static_cast<std::size_t>(oc) * lay.oc_stride +
+                               static_cast<std::size_t>(t) * lay.tap_stride;
+      std::uint64_t* const mine = (w >= 0.0f ? pos : neg) + base;
+      std::uint64_t* const other = (w >= 0.0f ? neg : pos) + base;
+      for (std::size_t k = 0; k < nw; ++k) {
+        mine[k * lay.word_stride] = stream[k] * copies;
+        other[k * lay.word_stride] = 0;
+      }
+    }
+  });
+  return bank;
+}
+
+namespace {
 
 // Streaming APC state (modeled after [24]): products are consumed in pairs,
 // merged with alternating OR / AND at weight 2, so the over-count of OR
@@ -187,8 +300,8 @@ Tensor sc_forward(const ScLayerConfig& cfg, std::uint64_t pass, int cout,
   const int L = cfg.stream_len;
   const std::size_t len = static_cast<std::size_t>(L);
   const std::size_t wpl = (len + 63) / 64;
-  const sc::SeedAllocator alloc(cfg.sharing, cfg.lfsr_bits(),
-                                sc::KernelExtents{cout, cin, k, k},
+  const sc::KernelExtents ext{cout, cin, k, k};
+  const sc::SeedAllocator alloc(cfg.sharing, cfg.lfsr_bits(), ext,
                                 cfg.layer_salt);
 
   fault::FaultModel* const fm = fault::active();
@@ -197,28 +310,17 @@ Tensor sc_forward(const ScLayerConfig& cfg, std::uint64_t pass, int cout,
   const bool use_table = sc::stream_table_enabled();
   using Site = fault::FaultModel::Site;
 
-  // One stream per weight (in its sign's bank) and per input activation.
-  // Fault sites are the buffer slot indices (no batch term): the same
-  // physical SNG buffer slot misbehaves identically for every image.
-  auto stream = [&](std::vector<std::uint64_t>& bank, std::size_t idx,
-                    float v, Site sram, Site domain, sc::SeedSpec spec) {
-    std::uint32_t q = quantize_unsigned(v, cfg.value_bits);
-    if (fm != nullptr) q = fm->sram_read(q, cfg.value_bits, sram, idx);
-    generate_stream(&bank[idx * wpl], wpl, len, cfg, pass_spec(cfg, spec, pass),
-                    q, fm, domain, idx, use_table);
-  };
-  std::vector<std::uint64_t> wpos(weights.size() * wpl, 0);
-  std::vector<std::uint64_t> wneg(weights.size() * wpl, 0);
-  std::size_t widx = 0;
-  for (int oc = 0; oc < cout; ++oc)
-    for (int ic = 0; ic < cin; ++ic)
-      for (int ky = 0; ky < k; ++ky)
-        for (int kx = 0; kx < k; ++kx, ++widx) {
-          const float wv = std::clamp(weights[widx], -1.0f, 1.0f);
-          stream(wv >= 0.0f ? wpos : wneg, widx, std::abs(wv),
-                 Site::kWeightSram, Site::kWeightStream,
-                 alloc.weight({oc, ic, ky, kx}));
-        }
+  // One stream per weight (in its sign's bank, oc-major) and per input
+  // activation. Fault sites are the buffer slot indices (no batch term):
+  // the same physical SNG buffer slot misbehaves identically for every
+  // image.
+  const WeightBank bank = build_weight_bank(
+      weights, ext, cfg, alloc,
+      {.oc_stride = static_cast<std::size_t>(K) * wpl, .tap_stride = wpl,
+       .word_stride = 1},
+      fm, use_table, pass);
+  const std::uint64_t* const wpos = bank.pos.get();
+  const std::uint64_t* const wneg = bank.neg.get();
 
   const int groups =
       tap_group.empty()
@@ -244,10 +346,17 @@ Tensor sc_forward(const ScLayerConfig& cfg, std::uint64_t pass, int cout,
   atten = Tensor({nb, cout, ho, wo}, 1.0f);
 
   for (int b = 0; b < nb; ++b) {
-    for (std::size_t i = 0; i < slots; ++i)
-      stream(act, i, std::clamp(x[b * slots + i], 0.0f, 1.0f),
-             Site::kActSram, Site::kActStream,
-             alloc.activation(static_cast<int>(i)));
+    for (std::size_t i = 0; i < slots; ++i) {
+      std::uint32_t q =
+          quantize_unsigned(std::clamp(x[b * slots + i], 0.0f, 1.0f),
+                            cfg.value_bits);
+      if (fm != nullptr)
+        q = fm->sram_read(q, cfg.value_bits, Site::kActSram, i);
+      generate_stream(&act[i * wpl], wpl, len, cfg,
+                      pass_spec(cfg, alloc.activation(static_cast<int>(i)),
+                                pass),
+                      q, fm, Site::kActStream, i, use_table);
+    }
 
     for (int oc = 0; oc < cout; ++oc)
       for (int oy = 0; oy < ho; ++oy)

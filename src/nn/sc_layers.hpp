@@ -14,6 +14,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -59,6 +61,50 @@ void generate_stream(std::uint64_t* dst, std::size_t wpl, std::size_t length,
                      std::uint32_t q, fault::FaultModel* fm,
                      fault::FaultModel::Site domain, std::uint64_t site,
                      bool use_table);
+
+// Where a weight bank puts its words: word k of the stream of the weight in
+// output channel oc at tap t = (ic * kh + ky) * kw + kx sits at
+//   oc * oc_stride + t * tap_stride + k * word_stride,
+// and these must map the cout * taps * wpl words one to one onto the bank.
+// A stream of at most 32 bits may be replicated into `pack` slots of
+// `slot_bits` bits each (the machine's window packing).
+struct WeightBankLayout {
+  std::size_t oc_stride = 0;
+  std::size_t tap_stride = 0;
+  std::size_t word_stride = 0;
+  int pack = 1;
+  unsigned slot_bits = 64;
+};
+
+// A layer's weight streams split by sign: a weight's stream sits in the
+// bank of its sign, and the other bank holds zeros in its place.
+struct WeightBank {
+  std::unique_ptr<std::uint64_t[]> pos, neg;
+  std::size_t generators = 0;          // stream tables looked up
+  std::size_t per_weight_streams = 0;  // streams generated one by one
+};
+
+// Builds one layer's weight bank, the one weight-stream fill shared by the
+// nn SC layers and arch::GeoMachine::prepare. Weights are (cout, cin, kh,
+// kw) per `ext`, seeded by `alloc` (built for `ext` and cfg.lfsr_bits());
+// each is clamped to [-1, 1] and |w| quantized to value_bits.
+//   - Fast path (no fault model, a deterministic RNG, use_table): each
+//     distinct generator's stream table is looked up once, and each stream
+//     is a row of its generator's table (progressive: a ProgressivePlan
+//     composition).
+//   - Otherwise, or when the registry refuses a table, every weight goes
+//     through generate_stream with its own fault sites (its weight index,
+//     in kWeightSram and kWeightStream).
+// Both paths are bit-identical. `trng_pass` re-seeds TRNG generators per
+// forward pass (as the nn layers do); the machine passes none. Every word
+// of both banks is written exactly once.
+WeightBank build_weight_bank(std::span<const float> weights,
+                             const sc::KernelExtents& ext,
+                             const ScLayerConfig& cfg,
+                             const sc::SeedAllocator& alloc,
+                             const WeightBankLayout& layout,
+                             fault::FaultModel* fm, bool use_table,
+                             std::optional<std::uint64_t> trng_pass = {});
 
 // Bit-exact fixed-point reference for one convolution layer: quantizes the
 // operands exactly like the SC stream generators (|w| and a to `value_bits`

@@ -42,19 +42,8 @@ void ProgressiveSng::begin(std::uint32_t value) {
   source_->reset();
 }
 
-std::uint32_t ProgressiveSng::truncated(unsigned loaded) const noexcept {
-  // Keep the top `loaded` of the value_bits MSBs, zero the rest, then express
-  // in the lfsr_bits comparator domain (truncating low bits the LFSR cannot
-  // resolve).
-  const unsigned vb = schedule_.value_bits;
-  const unsigned lb = schedule_.lfsr_bits;
-  const std::uint32_t msbs = loaded == 0 ? 0 : (value_ >> (vb - loaded));
-  const std::uint32_t kept = loaded > lb ? lb : loaded;  // loaded <= lb always
-  return msbs << (lb - kept);
-}
-
 std::uint32_t ProgressiveSng::effective_value() const noexcept {
-  return truncated(loaded_bits());
+  return schedule_.visible(loaded_bits()).of(value_);
 }
 
 bool ProgressiveSng::tick() {
@@ -75,7 +64,8 @@ Bitstream ProgressiveSng::generate(std::uint32_t value, std::size_t length) {
 Bitstream ProgressiveSng::generate_normal(std::uint32_t value,
                                           std::size_t length) {
   begin(value);
-  const std::uint32_t eff = truncated(schedule_.bits_to_load());
+  const std::uint32_t eff =
+      schedule_.visible(schedule_.bits_to_load()).of(value_);
   Bitstream out(length);
   for (std::size_t i = 0; i < length; ++i) {
     const std::uint32_t r = source_->next();

@@ -36,6 +36,21 @@ struct ProgressiveSchedule {
   // cycle; the first group is already buffered then).
   unsigned loaded_bits(std::uint64_t t) const noexcept;
 
+  // The comparator value an SNG sees for `value` (< 2^value_bits) with only
+  // its top `loaded` bits buffered is (value >> right) << left: the
+  // unloaded low bits read as zero, and the result is expressed in the
+  // lfsr_bits domain (low bits the LFSR cannot resolve are truncated).
+  struct Visible {
+    unsigned right = 0, left = 0;
+    std::uint32_t of(std::uint32_t value) const noexcept {
+      return (value >> right) << left;
+    }
+  };
+  Visible visible(unsigned loaded) const noexcept {
+    const unsigned kept = loaded > lfsr_bits ? lfsr_bits : loaded;
+    return {value_bits - loaded, lfsr_bits - kept};
+  }
+
   // First cycle at which the value is fully loaded (generation exact from
   // here on, given a matched LFSR).
   std::uint64_t full_load_cycle() const noexcept;
@@ -97,8 +112,6 @@ class ProgressiveSng {
   Bitstream generate_normal(std::uint32_t value, std::size_t length);
 
  private:
-  std::uint32_t truncated(unsigned loaded) const noexcept;
-
   ProgressiveSchedule schedule_;
   std::unique_ptr<RngSource> source_;
   std::uint32_t value_ = 0;  // full value_bits-wide value

@@ -45,33 +45,25 @@ SeedSpec SeedAllocator::spec_for_index(std::uint64_t index) const {
   return spec;
 }
 
-SeedSpec SeedAllocator::weight(const WeightPos& pos) const {
-  // The index encodes exactly the coordinates that distinguish generators at
+std::size_t SeedAllocator::weight_id(int kernel, int tap) const {
+  // The id encodes exactly the coordinates that distinguish generators at
   // this sharing level; everything left out is, by construction, shared.
-  // Consecutive positions get consecutive indices, so seeds inside one
-  // kernel are distinct as long as the space is not exhausted.
-  std::uint64_t index = 0;
+  // Consecutive positions get consecutive ids, so seeds inside one kernel
+  // are distinct as long as the space is not exhausted.
   switch (sharing_) {
     case Sharing::kNone:
-      index = ((static_cast<std::uint64_t>(pos.kernel) * ext_.cin + pos.cin) *
-                   ext_.kh +
-               pos.kh) *
-                  ext_.kw +
-              pos.kw;
-      break;
+      return static_cast<std::size_t>(kernel) * ext_.cin * ext_.kh *
+                 ext_.kw +
+             static_cast<std::size_t>(tap);
     case Sharing::kModerate:
-      // Same seed set for every kernel: the index ignores pos.kernel.
-      index = (static_cast<std::uint64_t>(pos.cin) * ext_.kh + pos.kh) *
-                  ext_.kw +
-              pos.kw;
-      break;
+      // Same seed set for every kernel: the id ignores the kernel.
+      return static_cast<std::size_t>(tap);
     case Sharing::kExtreme:
       // Same seed set for every row of every kernel: only the position
       // within a kernel row survives.
-      index = static_cast<std::uint64_t>(pos.kw);
-      break;
+      return static_cast<std::size_t>(tap % ext_.kw);
   }
-  return spec_for_index(index);
+  return 0;
 }
 
 SeedSpec SeedAllocator::activation(int index) const {

@@ -58,7 +58,19 @@ class SeedAllocator {
 
   // Seed for a weight stream generator. At a given sharing level the seed
   // depends only on the coordinates that level distinguishes.
-  SeedSpec weight(const WeightPos& pos) const;
+  SeedSpec weight(const WeightPos& pos) const {
+    return weight_spec(weight_id(pos.kernel,
+                                 (pos.cin * ext_.kh + pos.kh) * ext_.kw +
+                                     pos.kw));
+  }
+
+  // Generator id, in [0, weight_ids()), of the weight in output channel
+  // `kernel` at tap = (cin * kh + kh_pos) * kw + kw_pos. Weights with equal
+  // ids share one generator, so a bank builder resolves each id once.
+  std::size_t weight_id(int kernel, int tap) const;
+
+  // Seed of generator `id`.
+  SeedSpec weight_spec(std::size_t id) const { return spec_for_index(id); }
 
   // Seed for an activation stream generator (indexed by buffer slot).
   // Activation seeds are allocated from the top of the seed space, weights

@@ -23,41 +23,11 @@ constexpr std::uint64_t kMaxTableBytes = 8ull << 20;
 // yields its core quickly.
 constexpr int kSpinLimit = 256;
 
-// OR src's bits [from, to) into dst (both packed LSB-first, 64 per word).
-void or_bit_range(std::uint64_t* dst, const std::uint64_t* src,
-                  std::size_t from, std::size_t to) {
-  if (from >= to) return;
-  const std::size_t w0 = from / 64;
-  const std::size_t w1 = (to - 1) / 64;
-  const std::uint64_t first = ~0ull << (from % 64);
-  const std::uint64_t last =
-      to % 64 == 0 ? ~0ull : ~0ull >> (64 - to % 64);
-  if (w0 == w1) {
-    dst[w0] |= src[w0] & first & last;
-    return;
-  }
-  dst[w0] |= src[w0] & first;
-  for (std::size_t w = w0 + 1; w < w1; ++w) dst[w] |= src[w];
-  dst[w1] |= src[w1] & last;
-}
-
-// ProgressiveSng::truncated, replicated for table composition: the
-// comparator value visible with only the top `loaded` bits buffered.
-std::uint32_t progressive_effective(std::uint32_t value, unsigned loaded,
-                                    const ProgressiveSchedule& sched) {
-  if (loaded == 0) return 0;
-  const unsigned vb = sched.value_bits;
-  const unsigned lb = sched.lfsr_bits;
-  const std::uint32_t msbs = value >> (vb - loaded);
-  const unsigned kept = loaded > lb ? lb : loaded;
-  return msbs << (lb - kept);
-}
-
-// The registry's telemetry counters, resolved once: every generated stream
-// passes through acquire(), and a by-name lookup takes the metrics
-// registry's mutex. Counters live as long as the metrics registry and
-// MetricsRegistry::reset() zeroes them in place, so the references stay
-// valid.
+// The registry's telemetry counters, resolved once: acquire() runs once per
+// generator of every weight bank and once per stream elsewhere, and a
+// by-name lookup takes the metrics registry's mutex. Counters live as long
+// as the metrics registry and MetricsRegistry::reset() zeroes them in
+// place, so the references stay valid.
 struct TableCounters {
   telemetry::Counter& hits;
   telemetry::Counter& misses;
@@ -120,6 +90,42 @@ StreamTable StreamTable::build(RngKind kind, const SeedSpec& spec,
   std::fill(t.words_.begin(),
             t.words_.begin() + static_cast<std::ptrdiff_t>(t.wpl_), 0);
   return t;
+}
+
+// -------------------------------------------------------- ProgressivePlan
+
+ProgressivePlan::ProgressivePlan(const ProgressiveSchedule& sched,
+                                 std::size_t length)
+    : sched_(sched), length_(length) {
+  assert(sched.group_bits != 0 && sched.beat_cycles != 0);
+  const unsigned target = sched.bits_to_load();
+  std::size_t t0 = 0;
+  while (t0 < length) {
+    // Cycles [t0, t1) see `loaded` bits: up to the next beat, or to the
+    // end once the value is fully loaded.
+    const unsigned loaded = sched.loaded_bits(t0);
+    const std::size_t t1 =
+        loaded >= target
+            ? length
+            : std::min<std::size_t>(
+                  length, (t0 / sched.beat_cycles + 1) * sched.beat_cycles);
+    for (std::size_t w = t0 / 64; w * 64 < t1; ++w) {
+      const std::size_t lo = std::max(t0, w * 64) - w * 64;
+      const std::size_t hi = std::min(t1, w * 64 + 64) - w * 64;
+      const std::uint64_t upto = hi == 64 ? ~0ull : (1ull << hi) - 1;
+      pieces_.push_back({sched.visible(loaded), w, upto & (~0ull << lo)});
+    }
+    t0 = t1;
+  }
+}
+
+void ProgressivePlan::compose(std::uint64_t* dst, const StreamTable& t,
+                              std::uint32_t value) const {
+  const std::uint32_t vmax = (1u << sched_.value_bits) - 1u;
+  if (value > vmax) value = vmax;
+  // row(0) is all-zero, so a beat whose visible value is 0 adds nothing.
+  for (const Piece& p : pieces_)
+    dst[p.word] |= t.row(p.visible.of(value))[p.word] & p.mask;
 }
 
 // --------------------------------------------------- StreamTableRegistry
@@ -341,35 +347,18 @@ void StreamGenerator::generate_progressive(
     std::uint32_t value, bool use_table) {
   assert(wpl >= (length + 63) / 64);
   (void)wpl;
-  const std::uint32_t vmax = (1u << sched.value_bits) - 1u;
-  if (value > vmax) value = vmax;  // ProgressiveSng::begin saturates too
   if (use_table && spec.bits == sched.lfsr_bits && sched.group_bits != 0 &&
       sched.beat_cycles != 0) {
     if (const StreamTable* t =
             StreamTableRegistry::instance().acquire(kind, spec, length)) {
-      // The effective comparator value is a step function of the cycle: it
-      // changes only at load beats and freezes once fully loaded. Each
-      // constant segment is a masked copy of that value's table row.
-      const unsigned target = sched.bits_to_load();
-      std::size_t t0 = 0;
-      while (t0 < length) {
-        const unsigned loaded = sched.loaded_bits(t0);
-        const std::size_t t1 =
-            loaded >= target
-                ? length
-                : std::min<std::size_t>(
-                      length, (t0 / sched.beat_cycles + 1) *
-                                  sched.beat_cycles);
-        const std::uint32_t eff =
-            progressive_effective(value, loaded, sched);
-        if (eff != 0) or_bit_range(dst, t->row(eff), t0, t1);
-        t0 = t1;
-      }
+      if (!plan_ || !(plan_->schedule() == sched) || plan_->length() != length)
+        plan_.emplace(sched, length);
+      plan_->compose(dst, *t, value);
       return;
     }
   }
   ProgressiveSng& sng = progressive(kind, spec, sched);
-  sng.begin(value);
+  sng.begin(value);  // saturates like the table path
   for (std::size_t i = 0; i < length; ++i)
     if (sng.tick()) dst[i >> 6] |= 1ull << (i & 63);
 }

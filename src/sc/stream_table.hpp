@@ -9,9 +9,8 @@
 // R[t] == s) prefix-OR-ed into table[v] = OR_{s<=v} level[s]. Any stream for
 // value v is then a word-wise copy of table[v] (an 8-bit LFSR at L=256 is
 // 8 KB per sequence: ~256 ticks + a heap allocation become a 4-word memcpy).
-// Progressive streams (Sec. II-B) compose segment-wise copies of
-// table[effective_value(t)] between load beats, per
-// ProgressiveSchedule::loaded_bits.
+// Progressive streams (Sec. II-B) compose masked words of
+// table[effective_value(t)] between load beats, per a ProgressivePlan.
 //
 // Tables live in a process-wide registry keyed by the canonicalized
 // (RngKind, bits, seed, taps, length) tuple — keyed AFTER
@@ -98,6 +97,38 @@ class StreamTable {
   std::vector<std::uint64_t> words_;  // (1 << bits) rows of wpl words
 };
 
+// The table composition of a progressive stream (Sec. II-B). The effective
+// comparator value is a step function of the cycle: it changes only at load
+// beats and freezes once fully loaded. So the stream for a value is, word
+// by word, that beat's table row under a mask. The plan lists those
+// (beat, word, mask) pieces once per (schedule, length); every progressive
+// stream composed from a table goes through one.
+class ProgressivePlan {
+ public:
+  // `sched` must have nonzero group_bits and beat_cycles.
+  ProgressivePlan(const ProgressiveSchedule& sched, std::size_t length);
+
+  const ProgressiveSchedule& schedule() const noexcept { return sched_; }
+  std::size_t length() const noexcept { return length_; }
+
+  // ORs the stream a ProgressiveSng on t's sequence emits for `value`
+  // (value_bits domain, saturated like ProgressiveSng::begin) into dst.
+  // t must be built for this length at sched.lfsr_bits.
+  void compose(std::uint64_t* dst, const StreamTable& t,
+               std::uint32_t value) const;
+
+ private:
+  // dst[word] |= t.row(visible.of(value))[word] & mask
+  struct Piece {
+    ProgressiveSchedule::Visible visible;
+    std::size_t word;
+    std::uint64_t mask;
+  };
+  ProgressiveSchedule sched_;
+  std::size_t length_;
+  std::vector<Piece> pieces_;
+};
+
 // Process-wide shared-sequence cache. Thread-safe; a given key is built
 // exactly once (claim/build/publish) and served read-only forever after.
 class StreamTableRegistry {
@@ -163,8 +194,7 @@ class StreamGenerator {
                 bool use_table);
 
   // Same for a progressive SNG: `value` is in the schedule's value_bits
-  // domain; the table path composes segment-wise row copies between load
-  // beats.
+  // domain; the table path composes through a ProgressivePlan.
   void generate_progressive(std::uint64_t* dst, std::size_t wpl,
                             std::size_t length, RngKind kind,
                             const SeedSpec& spec,
@@ -179,6 +209,7 @@ class StreamGenerator {
   static constexpr std::size_t kKinds = 4;
   std::unique_ptr<Sng> sng_[kKinds];
   std::unique_ptr<ProgressiveSng> prog_[kKinds];
+  std::optional<ProgressivePlan> plan_;  // of the last table-path schedule
 };
 
 }  // namespace geo::sc

@@ -44,8 +44,8 @@ std::string default_process_name() {
   return "geo";
 }
 
-std::string args_to_json(std::initializer_list<TraceArg> args) {
-  if (args.size() == 0) return {};
+std::string args_to_json(std::span<const TraceArg> args) {
+  if (args.empty()) return {};
   Json obj = Json::object();
   for (const TraceArg& a : args) obj.set(a.key, Json(a.value));
   return obj.dump(0);
@@ -115,8 +115,7 @@ Tracer::Shard& Tracer::local_shard() {
 
 void Tracer::record(char phase, std::string_view name,
                     std::string_view category,
-                    std::initializer_list<TraceArg> args,
-                    std::uint64_t flow_id) {
+                    std::span<const TraceArg> args, std::uint64_t flow_id) {
   // Callers check enabled() before any of this work; the only lock taken
   // is the calling thread's own shard mutex, contended only by a
   // concurrent flush.
@@ -130,23 +129,25 @@ void Tracer::record(char phase, std::string_view name,
 void Tracer::begin(std::string_view name, std::string_view category,
                    std::initializer_list<TraceArg> args) {
   if (!enabled()) return;
-  record('B', name, category, args);
+  record('B', name, category, {args.begin(), args.size()});
 }
 
-void Tracer::end(std::string_view name, std::string_view category) {
+void Tracer::end(std::string_view name, std::string_view category,
+                 std::span<const TraceArg> args) {
   if (!enabled()) return;
-  record('E', name, category, {});
+  record('E', name, category, args);
 }
 
 void Tracer::instant(std::string_view name, std::string_view category,
                      std::initializer_list<TraceArg> args) {
   if (!enabled()) return;
-  record('i', name, category, args);
+  record('i', name, category, {args.begin(), args.size()});
 }
 
 void Tracer::counter(std::string_view name, double value) {
   if (!enabled()) return;
-  record('C', name, "counter", {{"value", value}});
+  const TraceArg arg{"value", value};
+  record('C', name, "counter", {&arg, 1});
 }
 
 void Tracer::flow_out(std::string_view name, std::string_view category,
@@ -343,7 +344,11 @@ ScopedTimer::~ScopedTimer() {
   const auto stop = std::chrono::steady_clock::now();
   histogram_->observe(
       std::chrono::duration<double>(stop - start_).count());
-  if (tracing_) Tracer::instance().end(name_, category_);
+  if (tracing_) Tracer::instance().end(name_, category_, end_args_);
+}
+
+void ScopedTimer::end_arg(const char* key, double value) {
+  if (tracing_) end_args_.push_back({key, value});
 }
 
 void shutdown() {

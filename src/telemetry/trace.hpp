@@ -23,6 +23,7 @@
 #include <initializer_list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -54,7 +55,9 @@ class Tracer {
   // Duration-begin / duration-end ("B"/"E") events on the calling thread.
   void begin(std::string_view name, std::string_view category,
              std::initializer_list<TraceArg> args = {});
-  void end(std::string_view name, std::string_view category);
+  // `args` land on the end event; trace viewers merge them into the span's.
+  void end(std::string_view name, std::string_view category,
+           std::span<const TraceArg> args = {});
   // Instant ("i") event.
   void instant(std::string_view name, std::string_view category,
                std::initializer_list<TraceArg> args = {});
@@ -125,7 +128,7 @@ class Tracer {
 
   Shard& local_shard();
   void record(char phase, std::string_view name, std::string_view category,
-              std::initializer_list<TraceArg> args, std::uint64_t flow_id = 0);
+              std::span<const TraceArg> args, std::uint64_t flow_id = 0);
   double now_us() const;
   std::vector<ShardSnapshot> collect(bool drain) const;
   std::string emit(const std::vector<ShardSnapshot>& shards) const;
@@ -154,11 +157,16 @@ class ScopedTimer {
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
+  // Adds an argument known only once the work is done (recorded on the end
+  // event; `key` must outlive the timer). A no-op when not tracing.
+  void end_arg(const char* key, double value);
+
  private:
   const char* name_;
   const char* category_;
   Histogram* histogram_;
   bool tracing_;
+  std::vector<TraceArg> end_args_;
   std::chrono::steady_clock::time_point start_;
 };
 

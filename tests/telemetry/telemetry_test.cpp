@@ -236,6 +236,30 @@ TEST(Tracer, RendersBalancedWellFormedTrace) {
   std::filesystem::remove(path);
 }
 
+TEST(ScopedTimer, EndArgsLandOnTheEndEvent) {
+  auto& tracer = Tracer::instance();
+  { ScopedTimer t("test.scoped.off", "test"); t.end_arg("ignored", 1.0); }
+  tracer.enable((std::filesystem::temp_directory_path() /
+                 "geo_telemetry_end_args.json")
+                    .string());
+  {
+    ScopedTimer t("test.scoped.end_args", "test", {{"streams", 4.0}});
+    t.end_arg("generators", 2.0);
+    t.end_arg("per_weight_streams", 0.0);
+  }
+  const std::string doc = tracer.render();
+  tracer.disable();
+  EXPECT_TRUE(json_valid(doc)) << doc;
+  const std::size_t end = doc.find("\"ph\":\"E\"");
+  ASSERT_NE(end, std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"generators\":2", end), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"per_weight_streams\":0", end), std::string::npos)
+      << doc;
+  EXPECT_LT(doc.find("\"streams\":4"), end) << "begin args stay on B";
+  EXPECT_EQ(doc.find("ignored"), std::string::npos)
+      << "untraced timers record no args";
+}
+
 TEST(ScopedTimer, ObservesElapsedIntoHistogram) {
   Histogram h;
   {
