@@ -97,6 +97,15 @@ struct PreparedConv {
   std::vector<Tap> taps;
 
   std::optional<sc::SeedAllocator> alloc;
+  // The activation slots some window reads, ascending: every input row
+  // and column a kernel row covers (a strided layer without padding may
+  // skip some). Each run generates exactly these streams.
+  std::vector<std::uint32_t> act_slots;
+  // The activation generators' tables, resolved once per layer, when
+  // bind can fill every read slot's stream up front (no fault model, a
+  // deterministic RNG, the stream table on). Empty: runs generate each
+  // stream lazily on first touch, with its fault sites.
+  nn::GeneratorTables act_tables;
   // Weight streams, channel-blocked: word k of output channel oc's tap t is
   // at ((t * wpl + k) * cout + oc), so one vector load covers neighbouring
   // channels. A short stream is replicated into every window slot of its
@@ -108,6 +117,7 @@ struct PreparedConv {
   telemetry::Histogram* pass_hist = nullptr;
   telemetry::Histogram* gather_hist = nullptr;
   telemetry::Histogram* mac_hist = nullptr;
+  telemetry::Histogram* act_streams_hist = nullptr;
   telemetry::Counter* act_gen_counter = nullptr;
 
   // Activation slot read by `tap` of the window whose top-left input is
@@ -134,13 +144,14 @@ struct PreparedConv {
 struct ConvExecution::Impl {
   std::shared_ptr<const PreparedConv> prep;
   std::span<const float> input;
-  // Lazily generated activation streams, [slot][wpl].
-  std::vector<std::uint64_t> act;
-  // Lazy activation-stream cache flags: 0 = empty, 1 = being generated,
-  // 2 = ready. Atomic so concurrent tiles claim generation exactly once
-  // (first CAS winner generates, everyone else waits for the release store)
-  // — the stream content is a pure function of the slot, so the winner's
-  // identity never changes the bits.
+  // Activation streams, [slot][wpl]: every read slot's stream, filled at
+  // bind when the layer has activation tables, else generated lazily.
+  std::unique_ptr<std::uint64_t[]> act;
+  // Lazy activation-stream cache flags (null when bind filled the bank):
+  // 0 = empty, 1 = being generated, 2 = ready. Atomic so concurrent tiles
+  // claim generation exactly once (first CAS winner generates, everyone
+  // else waits for the release store) — the stream content is a pure
+  // function of the slot, so the winner's identity never changes the bits.
   std::unique_ptr<std::atomic<std::uint8_t>[]> act_ready;
   // The fault model's SRAM retry cycles at bind: finish() charges this
   // run's own reads on top of the bank's weight_ecc_retry.
@@ -152,10 +163,11 @@ struct ConvExecution::Impl {
   std::mutex stats_mu;
   std::optional<telemetry::ScopedTimer> run_timer;
 
-  // The activation stream in slot `idx`; the first use generates it.
+  // Lazy path: the activation stream in slot `idx`; the first use
+  // generates it.
   const std::uint64_t* act_stream(std::size_t idx) {
     if (act_ready[idx].load(std::memory_order_acquire) != 2) claim_act(idx);
-    return act.data() + idx * prep->wpl;
+    return act.get() + idx * prep->wpl;
   }
   void claim_act(std::size_t idx);
   void gather_window(std::int64_t pos, int tap_lo, int tap_hi, int slot,
@@ -174,16 +186,10 @@ void ConvExecution::Impl::claim_act(std::size_t idx) {
       if (flag.compare_exchange_strong(expected, 1,
                                        std::memory_order_acq_rel)) {
         pc.act_gen_counter->add(1);
-        const float a = std::clamp(input[idx], 0.0f, 1.0f);
-        std::uint32_t q = nn::quantize_unsigned(a, pc.cfg.value_bits);
-        if (pc.fm != nullptr)
-          q = pc.fm->sram_read(q, pc.cfg.value_bits,
-                               fault::FaultModel::Site::kActSram, idx);
-        nn::generate_stream(act.data() + idx * pc.wpl, pc.wpl,
-                            static_cast<std::size_t>(pc.L), pc.cfg,
-                            pc.alloc->activation(static_cast<int>(idx)), q,
-                            pc.fm, fault::FaultModel::Site::kActStream, idx,
-                            pc.use_stream_table);
+        const auto slot = static_cast<std::uint32_t>(idx);
+        nn::build_activation_streams(act.get(), input, {&slot, 1}, pc.cfg,
+                                     *pc.alloc, pc.act_tables, pc.fm,
+                                     pc.use_stream_table);
         flag.store(2, std::memory_order_release);
         flag.notify_all();
         break;
@@ -210,10 +216,13 @@ void ConvExecution::Impl::claim_act(std::size_t idx) {
 // Gathers window `pos`'s activation words for taps [tap_lo, tap_hi) into
 // window slot `slot` of a zeroed row ([tap][wpl]): with packing, word t of
 // the row carries window w's stream in bits [w * slot_bits, (w + 1) *
-// slot_bits). Padded taps stay zero and are flagged in `padded`. Every
-// stream still comes through act_stream(), so lazy generation, the claim
-// protocol, and the SRAM/stream fault hooks see exactly the slots a per-tap
-// walk would touch.
+// slot_bits). Padded taps stay zero and are flagged in `padded`. The walk
+// goes by runs: the kx taps of one kernel row (ic, ky) read consecutive
+// input slots, so a run is clipped to the input once and copied as one
+// stretch of words. A slice that starts or ends mid kernel row makes a
+// shorter run. On the lazy path every slot of a run still comes through
+// act_stream() before the copy, so lazy generation, the claim protocol and
+// the SRAM/stream fault hooks see exactly the slots a per-tap walk would.
 void ConvExecution::Impl::gather_window(std::int64_t pos, int tap_lo,
                                         int tap_hi, int slot,
                                         std::uint64_t* row,
@@ -224,13 +233,34 @@ void ConvExecution::Impl::gather_window(std::int64_t pos, int tap_lo,
   const int ix0 = static_cast<int>(pos % pc.wo) * pc.shape.stride -
                   pc.shape.pad;
   const unsigned shift = static_cast<unsigned>(slot) * pc.slot_bits;
-  for (int t = tap_lo; t < tap_hi; ++t, row += pc.wpl, ++padded) {
-    const std::ptrdiff_t aidx =
-        pc.tap_input(iy0, ix0, pc.taps[static_cast<std::size_t>(t)]);
-    *padded = aidx < 0;
-    if (aidx < 0) continue;
-    const std::uint64_t* a = act_stream(static_cast<std::size_t>(aidx));
-    for (std::size_t k = 0; k < pc.wpl; ++k) row[k] |= a[k] << shift;
+  const std::size_t wpl = pc.wpl;
+  const int hin = pc.shape.hin, win = pc.shape.win, kw = pc.shape.kw;
+  for (int t = tap_lo; t < tap_hi;) {
+    const PreparedConv::Tap& tap = pc.taps[static_cast<std::size_t>(t)];
+    const int n = std::min(tap_hi - t, kw - tap.kx);  // the run's taps
+    // Taps [lo, hi) of the run land inside the input.
+    const int iy = iy0 + tap.ky, ix = ix0 + tap.kx;
+    int lo = n, hi = n;
+    if (iy >= 0 && iy < hin) {
+      lo = std::clamp(-ix, 0, n);
+      hi = std::clamp(win - ix, lo, n);
+    }
+    std::fill(padded, padded + n, 1);
+    std::fill(padded + lo, padded + hi, 0);
+    if (hi > lo) {
+      const std::size_t first = tap.plane +
+                                static_cast<std::size_t>(iy) * win +
+                                static_cast<std::size_t>(ix + lo);
+      const std::size_t count = static_cast<std::size_t>(hi - lo);
+      if (act_ready != nullptr)
+        for (std::size_t i = first; i < first + count; ++i) act_stream(i);
+      const std::uint64_t* a = act.get() + first * wpl;
+      std::uint64_t* r = row + static_cast<std::size_t>(lo) * wpl;
+      for (std::size_t k = 0; k < count * wpl; ++k) r[k] |= a[k] << shift;
+    }
+    t += n;
+    row += static_cast<std::size_t>(n) * wpl;
+    padded += n;
   }
 }
 
@@ -551,11 +581,29 @@ geo::StatusOr<ConvExecution> ConvExecution::bind(
   auto impl = std::make_unique<Impl>();
   impl->run_timer.emplace("machine.run_conv", "machine");
   impl->input = input;
-  impl->act.assign(input.size() * pc.wpl, 0);
-  impl->act_ready =
-      std::make_unique<std::atomic<std::uint8_t>[]>(input.size());
-  for (std::size_t i = 0; i < input.size(); ++i)
-    impl->act_ready[i].store(0, std::memory_order_relaxed);
+  // Only read slots are ever written or read, so the bank starts
+  // uninitialized.
+  impl->act =
+      std::make_unique_for_overwrite<std::uint64_t[]>(input.size() * pc.wpl);
+  {
+    const auto slots = static_cast<double>(pc.act_slots.size());
+    const bool eager = !pc.act_tables.tables.empty();
+    telemetry::ScopedTimer t(*pc.act_streams_hist, "machine.act_streams",
+                             "machine", {{"slots", slots}});
+    if (eager) {
+      nn::build_activation_streams(impl->act.get(), input, pc.act_slots,
+                                   pc.cfg, *pc.alloc, pc.act_tables, nullptr,
+                                   pc.use_stream_table);
+      pc.act_gen_counter->add(static_cast<std::int64_t>(pc.act_slots.size()));
+    } else {
+      impl->act_ready =
+          std::make_unique<std::atomic<std::uint8_t>[]>(input.size());
+      for (std::size_t i = 0; i < input.size(); ++i)
+        impl->act_ready[i].store(0, std::memory_order_relaxed);
+    }
+    t.end_arg("generators", static_cast<double>(pc.act_tables.tables.size()));
+    t.end_arg("per_slot_streams", eager ? 0.0 : slots);
+  }
   impl->fault_retry0 =
       pc.fm != nullptr ? pc.fm->stats().sram_retry_cycles : 0;
   impl->result.counters.assign(static_cast<std::size_t>(pc.outputs), 0);
@@ -609,6 +657,9 @@ void PreparedConv::for_each_tile_input(std::int64_t tile, Fn&& fn) const {
 
 void ConvExecution::invalidate_tile_inputs(std::int64_t tile) {
   Impl& im = *impl_;
+  // A bank filled at bind has no fault model to re-read through: its
+  // streams are what a regeneration would produce.
+  if (im.act_ready == nullptr) return;
   // Every tap of every window in this tile: mark its activation stream
   // stale. Streams are shared across channel groups, so a neighbouring
   // tile's later first-use simply regenerates them (same seed, same SRAM
@@ -843,6 +894,7 @@ geo::StatusOr<std::shared_ptr<const PreparedConv>> GeoMachine::prepare(
 
   auto& metrics = telemetry::MetricsRegistry::instance();
   pc->act_gen_counter = &metrics.counter("machine.act_streams_generated");
+  pc->act_streams_hist = &metrics.histogram("machine.act_streams");
 
   // ---- pass schedule ------------------------------------------------------
   pc->R = hw_.rows;
@@ -866,6 +918,30 @@ geo::StatusOr<std::shared_ptr<const PreparedConv>> GeoMachine::prepare(
                 static_cast<std::size_t>(shape.hin) *
                 static_cast<std::size_t>(shape.win);
   }
+
+  // ---- activation slots and generators ----------------------------------
+  // Input row iy (column ix) is read when some output row (column) o and
+  // kernel offset k give iy = o * stride - pad + k.
+  auto covered = [&](int in, int out, int k) {
+    std::vector<bool> read(static_cast<std::size_t>(in), false);
+    for (int o = 0; o < out; ++o)
+      for (int j = 0; j < k; ++j)
+        if (const int i = o * shape.stride - shape.pad + j; i >= 0 && i < in)
+          read[static_cast<std::size_t>(i)] = true;
+    return read;
+  };
+  const std::vector<bool> rows_read = covered(shape.hin, pc->ho, shape.kh);
+  const std::vector<bool> cols_read = covered(shape.win, pc->wo, shape.kw);
+  for (int ic = 0; ic < shape.cin; ++ic)
+    for (int iy = 0; iy < shape.hin; ++iy)
+      for (int ix = 0; ix < shape.win; ++ix)
+        if (rows_read[static_cast<std::size_t>(iy)] &&
+            cols_read[static_cast<std::size_t>(ix)])
+          pc->act_slots.push_back(static_cast<std::uint32_t>(
+              (ic * shape.hin + iy) * shape.win + ix));
+  pc->act_tables = nn::resolve_activation_tables(
+      cfg, *pc->alloc, static_cast<std::size_t>(shape.activations()), fm,
+      pc->use_stream_table);
 
   pc->pass_hist = &metrics.histogram("machine.pass");
   pc->gather_hist = &metrics.histogram("machine.act_gather");

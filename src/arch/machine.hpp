@@ -15,9 +15,9 @@
 // nn::ScConv2d reference computes for the same configuration, seed layout
 // and quantized operands — the hardware mapping (rows, windows, kernel
 // slices) must not change the arithmetic. Both sides fill their weight
-// banks with the one nn::build_weight_bank (each in its own layout) and draw
-// every other stream from the one nn::generate_stream; the MAC reductions
-// stay independent. The nn reference runs ScLinear as its conv kernel on a
+// banks with the one nn::build_weight_bank (each in its own layout) and
+// their activation streams with the one nn::build_activation_streams; the
+// MAC reductions stay independent. The nn reference runs ScLinear as its conv kernel on a
 // 1x1 map with contiguous fc_group-input OR groups, while the machine maps
 // an FC layer as a 1x1 conv with one PBW group, so FC layers are outside
 // the contract.
@@ -111,22 +111,29 @@ class PreparedConv;
 // or not the bank is shared: every run charges the bank's weight-read ECC
 // retries.
 //
+// Activation streams: with no fault model, a deterministic RNG and the
+// stream table on, bind fills the stream of every slot some window reads
+// from the layer's activation tables (resolved once by prepare), and the
+// tiles read a complete bank. Otherwise each stream is generated on first
+// touch, with its fault sites, and invalidate_tile_inputs can drop it.
+//
 // Execution: each pass of a tile gathers every window's activation words
 // once into a contiguous [taps][wpl] row (padded taps as zero words; at
-// L <= 32 several windows share a row, one per word slot), then reduces a
-// block of output channels per vector op against it, reading the
+// L <= 32 several windows share a row, one per word slot), copying the
+// taps of a kernel row as one run of consecutive input slots, then reduces
+// a block of output channels per vector op against it, reading the
 // channel-blocked weight bank. Runs with accumulator-input or stuck-counter
 // faults gather unpacked rows and take the per-tap reference reduction
 // instead (see docs/SIMD.md).
 //
 // Thread-safety: distinct tiles may run concurrently (exec::
 // ParallelConvRunner does this) — tile outputs are disjoint, gathered rows
-// and accumulators are private per run_tile call, the lazy activation-
-// stream cache is generate-once under an atomic claim, and stat deltas
-// merge under a lock, so the result is byte-identical to the serial tile
-// loop at any thread count (see docs/PARALLELISM.md). All other methods
-// (invalidate_tile_inputs, counters, finish, ...) must be called with no
-// run_tile in flight.
+// and accumulators are private per run_tile call, the activation bank is
+// either complete before any tile runs or a generate-once lazy cache under
+// an atomic claim, and stat deltas merge under a lock, so the result is
+// byte-identical to the serial tile loop at any thread count (see
+// docs/PARALLELISM.md). All other methods (invalidate_tile_inputs,
+// counters, finish, ...) must be called with no run_tile in flight.
 class ConvExecution {
  public:
   // Binds a fresh run of `prepared` to `input`: kInvalidArgument when the
@@ -162,7 +169,8 @@ class ConvExecution {
   // re-reads activation SRAM and regenerates them. A retry after a detected
   // SRAM/stream fault must go through this, otherwise it would replay the
   // same poisoned buffers and recovery under a transient fault model could
-  // never succeed.
+  // never succeed. A no-op for a bank bind filled: with no fault model,
+  // regeneration would give the same streams.
   void invalidate_tile_inputs(std::int64_t tile);
 
   // Partial-sum state accumulated so far (indexed like MachineResult::counters).

@@ -16,13 +16,6 @@ float dequantize_signed(std::int32_t code, unsigned bits, float range) {
          static_cast<float>(1 << (bits - 1)) * range;
 }
 
-std::uint32_t quantize_unsigned(float v, unsigned bits, float range) {
-  const float levels = static_cast<float>(1u << bits);
-  const float q = std::round(v / range * levels);
-  const float max = levels - 1.0f;
-  return static_cast<std::uint32_t>(std::clamp(q, 0.0f, max));
-}
-
 float dequantize_unsigned(std::uint32_t code, unsigned bits, float range) {
   return static_cast<float>(code) / static_cast<float>(1u << bits) * range;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -96,6 +97,41 @@ sc::ProgressiveSchedule progressive_schedule(const ScLayerConfig& cfg,
   return sched;
 }
 
+// The fast path of both stream builders: without a fault model, with a
+// deterministic RNG and the stream table on, the tables of generators
+// [0, ids), each looked up once; none when any of that fails.
+template <typename SpecOf>
+GeneratorTables resolve_tables(const ScLayerConfig& cfg, unsigned n,
+                               std::size_t ids, SpecOf spec_of,
+                               fault::FaultModel* fm, bool use_table) {
+  GeneratorTables g;
+  if (fm != nullptr || !use_table || cfg.rng == sc::RngKind::kTrng) return g;
+  const std::size_t len = static_cast<std::size_t>(cfg.stream_len);
+  auto& registry = sc::StreamTableRegistry::instance();
+  g.tables.resize(ids);
+  for (std::size_t id = 0; id < ids; ++id) {
+    g.tables[id] = registry.acquire(cfg.rng, spec_of(id), len);
+    if (g.tables[id] == nullptr) {
+      g.tables.clear();
+      return g;
+    }
+  }
+  if (cfg.progressive) g.plan.emplace(progressive_schedule(cfg, n), len);
+  return g;
+}
+
+// The stream of magnitude q (< 2^value_bits) from generator table `tab`:
+// the table row itself, or a progressive composition written to `buf`.
+const std::uint64_t* table_stream(const GeneratorTables& g,
+                                  const sc::StreamTable& tab,
+                                  const ScLayerConfig& cfg, unsigned n,
+                                  std::uint32_t q, std::uint64_t* buf) {
+  if (!g.plan) return tab.row(plain_value(cfg, n, q));
+  std::fill(buf, buf + tab.wpl(), 0);
+  g.plan->compose(buf, tab, q);
+  return buf;
+}
+
 }  // namespace
 
 void generate_stream(std::uint64_t* dst, std::size_t wpl, std::size_t length,
@@ -137,23 +173,12 @@ WeightBank build_weight_bank(std::span<const float> weights,
                                                              wpl);
 
   // Fast path: one table per generator, each stream a row of its table.
-  std::vector<const sc::StreamTable*> tables;
-  if (fm == nullptr && use_table && cfg.rng != sc::RngKind::kTrng) {
-    auto& registry = sc::StreamTableRegistry::instance();
-    tables.resize(alloc.weight_ids());
-    for (std::size_t id = 0; id < tables.size(); ++id) {
-      ++bank.generators;
-      tables[id] = registry.acquire(cfg.rng, alloc.weight_spec(id), len);
-      if (tables[id] == nullptr) {
-        tables.clear();
-        break;
-      }
-    }
-  }
-  if (tables.empty()) bank.per_weight_streams = weights.size();
-  std::optional<sc::ProgressivePlan> plan;
-  if (!tables.empty() && cfg.progressive)
-    plan.emplace(progressive_schedule(cfg, n), len);
+  const GeneratorTables gen = resolve_tables(
+      cfg, n, alloc.weight_ids(),
+      [&alloc](std::size_t id) { return alloc.weight_spec(id); }, fm,
+      use_table);
+  bank.generators = gen.tables.size();
+  if (gen.tables.empty()) bank.per_weight_streams = weights.size();
 
   // Multiplying a stream word by `spread` copies it into every slot (no
   // carries: a packed stream fits one slot).
@@ -176,8 +201,7 @@ WeightBank build_weight_bank(std::span<const float> weights,
     std::uint64_t* const pos = bank.pos.get();
     std::uint64_t* const neg = bank.neg.get();
     const sc::StreamTable* const* const table =
-        tables.empty() ? nullptr : tables.data();
-    const sc::ProgressivePlan* const prog = plan ? &*plan : nullptr;
+        gen.tables.empty() ? nullptr : gen.tables.data();
     thread_local std::vector<std::uint64_t> buf;
     buf.resize(nw);
     for (int i = 0; i < inner; ++i) {
@@ -188,14 +212,8 @@ WeightBank build_weight_bank(std::span<const float> weights,
       std::uint32_t q = quantize_unsigned(std::abs(w), vb);
       const std::uint64_t* stream = buf.data();
       if (table != nullptr) {
-        const sc::StreamTable& tab = *table[alloc.weight_id(oc, t)];
-        if (prog != nullptr) {
-          std::fill(buf.begin(), buf.end(), 0);
-          prog->compose(buf.data(), tab, q);
-        } else {
-          // q < 2^value_bits: the comparator value needs no saturation.
-          stream = tab.row(plain_value(cfg, n, q));
-        }
+        stream = table_stream(gen, *table[alloc.weight_id(oc, t)], cfg, n, q,
+                              buf.data());
       } else {
         using Site = fault::FaultModel::Site;
         if (fm != nullptr) q = fm->sram_read(q, vb, Site::kWeightSram, idx);
@@ -216,6 +234,67 @@ WeightBank build_weight_bank(std::span<const float> weights,
     }
   });
   return bank;
+}
+
+GeneratorTables resolve_activation_tables(const ScLayerConfig& cfg,
+                                          const sc::SeedAllocator& alloc,
+                                          std::size_t slots,
+                                          fault::FaultModel* fm,
+                                          bool use_table) {
+  return resolve_tables(
+      cfg, alloc.bits(), std::min(slots, alloc.capacity()),
+      [&alloc](std::size_t id) { return alloc.activation_spec(id); }, fm,
+      use_table);
+}
+
+void build_activation_streams(std::uint64_t* bank,
+                              std::span<const float> input,
+                              std::span<const std::uint32_t> slots,
+                              const ScLayerConfig& cfg,
+                              const sc::SeedAllocator& alloc,
+                              const GeneratorTables& tables,
+                              fault::FaultModel* fm, bool use_table,
+                              std::optional<std::uint64_t> trng_pass) {
+  const std::size_t len = static_cast<std::size_t>(cfg.stream_len);
+  const std::size_t wpl = (len + 63) / 64;
+  // Fills slots [lo, hi) of the list.
+  auto fill = [&](std::size_t lo, std::size_t hi) {
+    // Locals, not captures (see build_weight_bank).
+    const std::size_t nw = wpl;
+    const unsigned n = alloc.bits(), vb = cfg.value_bits;
+    const std::uint32_t* const slot = slots.data();
+    const float* const in = input.data();
+    const sc::StreamTable* const* const table =
+        tables.tables.empty() ? nullptr : tables.tables.data();
+    using Site = fault::FaultModel::Site;
+    for (std::size_t s = lo; s < hi; ++s) {
+      const std::size_t i = slot[s];
+      std::uint64_t* const dst = bank + i * nw;
+      std::uint32_t q = quantize_unsigned(std::clamp(in[i], 0.0f, 1.0f), vb);
+      if (table != nullptr) {
+        const std::uint64_t* stream = table_stream(
+            tables, *table[alloc.activation_id(i)], cfg, n, q, dst);
+        if (stream != dst) std::copy(stream, stream + nw, dst);
+        continue;
+      }
+      if (fm != nullptr) q = fm->sram_read(q, vb, Site::kActSram, i);
+      sc::SeedSpec spec = alloc.activation(i);
+      if (trng_pass) spec = pass_spec(cfg, spec, *trng_pass);
+      generate_stream(dst, nw, len, cfg, spec, q, fm, Site::kActStream, i,
+                      use_table);
+    }
+  };
+  // Blocks of slots per parallel_for iteration: one slot's stream is a row
+  // copy, far too little work to dispatch alone. A single block (the lazy
+  // path's one slot) runs here, without wrapping `fill` in a std::function.
+  constexpr std::size_t kBlock = 512;
+  if (slots.size() <= kBlock) return fill(0, slots.size());
+  exec::parallel_for(
+      static_cast<std::int64_t>((slots.size() + kBlock - 1) / kBlock),
+      [&](std::int64_t blk) {
+        const std::size_t lo = static_cast<std::size_t>(blk) * kBlock;
+        fill(lo, std::min(slots.size(), lo + kBlock));
+      });
 }
 
 namespace {
@@ -308,12 +387,11 @@ Tensor sc_forward(const ScLayerConfig& cfg, std::uint64_t pass, int cout,
   const bool accum_faults = fm != nullptr && fm->accum_active();
   const bool stuck_faults = fm != nullptr && fm->stuck_enabled();
   const bool use_table = sc::stream_table_enabled();
-  using Site = fault::FaultModel::Site;
 
   // One stream per weight (in its sign's bank, oc-major) and per input
-  // activation. Fault sites are the buffer slot indices (no batch term):
-  // the same physical SNG buffer slot misbehaves identically for every
-  // image.
+  // activation, the activation tables resolved once for the whole batch.
+  // Fault sites are the buffer slot indices (no batch term): the same
+  // physical SNG buffer slot misbehaves identically for every image.
   const WeightBank bank = build_weight_bank(
       weights, ext, cfg, alloc,
       {.oc_stride = static_cast<std::size_t>(K) * wpl, .tap_stride = wpl,
@@ -328,6 +406,10 @@ Tensor sc_forward(const ScLayerConfig& cfg, std::uint64_t pass, int cout,
           : *std::max_element(tap_group.begin(), tap_group.end()) + 1;
   const std::size_t slots = static_cast<std::size_t>(cin) * h * w;
   std::vector<std::uint64_t> act(slots * wpl);
+  std::vector<std::uint32_t> every_slot(slots);
+  std::iota(every_slot.begin(), every_slot.end(), 0u);
+  const GeneratorTables act_tables =
+      resolve_activation_tables(cfg, alloc, slots, fm, use_table);
   // One output's products, after accumulator-input faults: a row per
   // in-bounds tap in each plane (pos, neg; wpl words). FXP and APC rows are
   // in tap order. Under OR groups, group g's rows fill its segment from
@@ -346,17 +428,9 @@ Tensor sc_forward(const ScLayerConfig& cfg, std::uint64_t pass, int cout,
   atten = Tensor({nb, cout, ho, wo}, 1.0f);
 
   for (int b = 0; b < nb; ++b) {
-    for (std::size_t i = 0; i < slots; ++i) {
-      std::uint32_t q =
-          quantize_unsigned(std::clamp(x[b * slots + i], 0.0f, 1.0f),
-                            cfg.value_bits);
-      if (fm != nullptr)
-        q = fm->sram_read(q, cfg.value_bits, Site::kActSram, i);
-      generate_stream(&act[i * wpl], wpl, len, cfg,
-                      pass_spec(cfg, alloc.activation(static_cast<int>(i)),
-                                pass),
-                      q, fm, Site::kActStream, i, use_table);
-    }
+    build_activation_streams(act.data(), x.data().subspan(b * slots, slots),
+                             every_slot, cfg, alloc, act_tables, fm,
+                             use_table, pass);
 
     for (int oc = 0; oc < cout; ++oc)
       for (int oy = 0; oy < ho; ++oy)

@@ -22,6 +22,7 @@
 #include "fault/fault_model.hpp"
 #include "nn/layers.hpp"
 #include "nn/sc_config.hpp"
+#include "sc/stream_table.hpp"
 
 namespace geo::nn {
 
@@ -80,7 +81,7 @@ struct WeightBankLayout {
 // bank of its sign, and the other bank holds zeros in its place.
 struct WeightBank {
   std::unique_ptr<std::uint64_t[]> pos, neg;
-  std::size_t generators = 0;          // stream tables looked up
+  std::size_t generators = 0;          // stream tables the fill drew on
   std::size_t per_weight_streams = 0;  // streams generated one by one
 };
 
@@ -105,6 +106,48 @@ WeightBank build_weight_bank(std::span<const float> weights,
                              const WeightBankLayout& layout,
                              fault::FaultModel* fm, bool use_table,
                              std::optional<std::uint64_t> trng_pass = {});
+
+// The stream tables of one layer's generators, resolved once for a stream
+// builder's fast path: tables[id] is the comparator table of generator id,
+// and `plan` composes progressive streams from them. No tables means the
+// builder generates stream by stream.
+struct GeneratorTables {
+  std::vector<const sc::StreamTable*> tables;
+  std::optional<sc::ProgressivePlan> plan;
+};
+
+// Resolves a layer's activation generators for build_activation_streams: a
+// layer of `slots` activation slots draws on generator ids [0, min(slots,
+// alloc.capacity())) (SeedAllocator::activation_id). The tables are looked
+// up only when there is no fault model, the RNG is deterministic and
+// `use_table` is on; otherwise, or when the registry refuses one, the
+// result has none.
+GeneratorTables resolve_activation_tables(const ScLayerConfig& cfg,
+                                          const sc::SeedAllocator& alloc,
+                                          std::size_t slots,
+                                          fault::FaultModel* fm,
+                                          bool use_table);
+
+// Writes the activation stream of every slot i in `slots` to bank + i * wpl
+// (wpl words): the one activation-stream fill shared by the nn SC layers
+// and arch::ConvExecution. input[i] is clamped to [0, 1] and quantized to
+// value_bits; slot i draws on generator alloc.activation_id(i).
+//   - With tables (resolve_activation_tables; `fm` is then null), each
+//     stream is a row of its generator's table (progressive: a
+//     ProgressivePlan composition).
+//   - Without, every slot goes through generate_stream with its own fault
+//     sites (its slot index, in kActSram and kActStream).
+// Both paths are bit-identical. `trng_pass` re-seeds TRNG generators per
+// forward pass, as in build_weight_bank. Slots write disjoint words, so the
+// fill is byte-identical at any thread count.
+void build_activation_streams(std::uint64_t* bank,
+                              std::span<const float> input,
+                              std::span<const std::uint32_t> slots,
+                              const ScLayerConfig& cfg,
+                              const sc::SeedAllocator& alloc,
+                              const GeneratorTables& tables,
+                              fault::FaultModel* fm, bool use_table,
+                              std::optional<std::uint64_t> trng_pass = {});
 
 // Bit-exact fixed-point reference for one convolution layer: quantizes the
 // operands exactly like the SC stream generators (|w| and a to `value_bits`

@@ -24,6 +24,7 @@ SeedAllocator::SeedAllocator(Sharing sharing, unsigned bits,
   // Searching for maximal polynomials is cheap at SNG widths (4-10 bits);
   // cache them once per allocator.
   taps_ = Lfsr::find_maximal_taps(bits, kMaxPolys);
+  capacity_ = static_cast<std::size_t>((1u << bits_) - 1u) * taps_.size();
 }
 
 SeedSpec SeedAllocator::spec_for_index(std::uint64_t index) const {
@@ -66,14 +67,6 @@ std::size_t SeedAllocator::weight_id(int kernel, int tap) const {
   return 0;
 }
 
-SeedSpec SeedAllocator::activation(int index) const {
-  // Allocate from the top of the space, stepping downward, so activations
-  // and weights only meet when a layer genuinely runs out of generators.
-  const std::uint64_t cap = capacity();
-  const std::uint64_t idx = static_cast<std::uint64_t>(index) % cap;
-  return spec_for_index(cap - 1 - idx);
-}
-
 std::size_t SeedAllocator::weight_ids() const noexcept {
   switch (sharing_) {
     case Sharing::kNone:
@@ -85,10 +78,6 @@ std::size_t SeedAllocator::weight_ids() const noexcept {
       return static_cast<std::size_t>(ext_.kw);
   }
   return 0;
-}
-
-std::size_t SeedAllocator::capacity() const noexcept {
-  return static_cast<std::size_t>((1u << bits_) - 1u) * taps_.size();
 }
 
 }  // namespace geo::sc

@@ -76,13 +76,27 @@ class SeedAllocator {
   // Activation seeds are allocated from the top of the seed space, weights
   // from the bottom, so the two only collide when a layer exhausts the
   // space.
-  SeedSpec activation(int index) const;
+  SeedSpec activation(std::size_t index) const {
+    return activation_spec(activation_id(index));
+  }
+
+  // Generator id, in [0, capacity()), of the activation in buffer slot
+  // `index`: slots wrap around the capacity, so slots with equal ids share
+  // one generator and a layer of n slots draws on min(n, capacity()) ids.
+  std::size_t activation_id(std::size_t index) const {
+    return index % capacity();
+  }
+
+  // Seed of activation generator `id`.
+  SeedSpec activation_spec(std::size_t id) const {
+    return spec_for_index(capacity() - 1 - id);
+  }
 
   // Number of distinct generator ids the weight side needs at this level.
   std::size_t weight_ids() const noexcept;
 
   // Number of distinct (seed, polynomial) pairs available at this width.
-  std::size_t capacity() const noexcept;
+  std::size_t capacity() const noexcept { return capacity_; }
 
  private:
   SeedSpec spec_for_index(std::uint64_t index) const;
@@ -92,6 +106,7 @@ class SeedAllocator {
   KernelExtents ext_;
   std::uint64_t layer_salt_;
   std::vector<std::uint32_t> taps_;  // alternate maximal polynomials
+  std::size_t capacity_ = 0;
 };
 
 }  // namespace geo::sc

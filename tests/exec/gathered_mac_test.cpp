@@ -10,7 +10,8 @@
 // small `rows` leave cout % rows != 0, and the window groups come out
 // ragged; at L <= 32 several windows share a packed word and the last word
 // of a pass is often partly filled. The test asserts that its cases really
-// hit those corners; PackedWordCorners pins the packing corners directly.
+// hit those corners; PackedWordCorners pins the packing corners directly,
+// and RunGatherCorners the corners of the gather's kernel-row runs.
 //
 // The nn layer computes a whole kernel at once, while the machine adds one
 // count per kernel slice. The reference for a sliced layer is therefore the
@@ -34,6 +35,7 @@
 #include "arch/machine.hpp"
 #include "fault/fault_model.hpp"
 #include "nn/sc_layers.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace geo {
 namespace {
@@ -179,7 +181,7 @@ class GatheredMac : public ::testing::TestWithParam<nn::AccumMode> {};
 TEST_P(GatheredMac, MatchesScConv2dOnRandomLayers) {
   const nn::AccumMode accum = GetParam();
   int mid_group = 0, ragged_channels = 0, ragged_windows = 0, padded = 0,
-      partial_words = 0;
+      partial_words = 0, strided = 0;
   for (const int L : {8, 16, 32, 64, 128}) {
     std::mt19937 rng(1000u * static_cast<unsigned>(accum) +
                      static_cast<unsigned>(L));
@@ -194,6 +196,7 @@ TEST_P(GatheredMac, MatchesScConv2dOnRandomLayers) {
           s, arch::Compiler(c.hw).natural_dataflow());
       ragged_windows += (s.hout() * s.wout()) % plan.windows_per_pass != 0;
       padded += s.pad > 0;
+      strided += s.stride == 2;
       partial_words += L <= 32 && plan.windows_per_pass % (64 / L) != 0;
 
       {
@@ -225,6 +228,126 @@ TEST_P(GatheredMac, MatchesScConv2dOnRandomLayers) {
   EXPECT_GT(ragged_windows, 0);
   EXPECT_GT(padded, 0);
   EXPECT_GT(partial_words, 0);
+  EXPECT_GT(strided, 0);
+}
+
+// What the gather's kernel-row runs meet on a layer: the gather copies the
+// kx taps of one kernel row (within one slice) as one run, clipped to the
+// input columns once.
+struct RunCorners {
+  int both_sides_clipped = 0;  // a run sticks out left and right
+  int mid_row_slices = 0;      // a slice starts at kx != 0
+};
+
+RunCorners run_corners(const ConvShape& s, int macs_per_row) {
+  RunCorners rc;
+  const int K = s.taps();
+  for (int lo = 0; lo < K; lo += macs_per_row) {
+    const int hi = std::min(K, lo + macs_per_row);
+    rc.mid_row_slices += lo % s.kw != 0;
+    for (int ox = 0; ox < s.wout(); ++ox)
+      for (int t = lo; t < hi;) {
+        const int kx = t % s.kw, n = std::min(hi - t, s.kw - kx);
+        const int ix = ox * s.stride - s.pad + kx;
+        rc.both_sides_clipped += ix < 0 && ix + n > s.win;
+        t += n;
+      }
+  }
+  return rc;
+}
+
+std::int64_t act_streams_generated() {
+  return telemetry::MetricsRegistry::instance()
+      .counter("machine.act_streams_generated")
+      .value();
+}
+
+// The run gather's corners, each clean and under SRAM faults (the lazy
+// per-slot path) against the sliced nn reference: runs clipped on both
+// sides (pad > 0 with a kernel row wider than the input), slices that start
+// mid kernel row, stride 2 with padding, and stride 2 without padding,
+// where some inputs are never read. There both paths generate exactly the
+// read slots' streams, counted by machine.act_streams_generated.
+TEST_P(GatheredMac, RunGatherCorners) {
+  struct Corner {
+    int cin, hw_in, k, stride, pad, macs_per_row;  // 0: the whole kernel
+  };
+  const Corner corners[] = {
+      {2, 1, 3, 1, 1, 0},  // every run clipped on both sides
+      {3, 2, 4, 1, 2, 0},  // some runs clipped on both sides
+      {2, 5, 3, 1, 1, 4},  // slices start at kx = 1 and 2
+      {2, 6, 3, 2, 1, 5},  // stride 2, padded, mid-row slices
+      {2, 5, 1, 2, 0, 0},  // stride 2: odd rows and columns never read
+      {3, 7, 2, 2, 0, 3},  // stride 2: the last row and column never read
+  };
+  RunCorners hit;
+  int unread_layers = 0;
+  for (const int L : {8, 32, 64}) {
+    std::mt19937 rng(313u + static_cast<unsigned>(L));
+    for (const Corner& k : corners) {
+      Case c = random_case(rng, GetParam(), L);
+      ConvShape& s = c.shape;
+      s.cin = k.cin;
+      s.hin = s.win = k.hw_in;
+      s.kh = s.kw = k.k;
+      s.stride = k.stride;
+      s.pad = k.pad;
+      c.hw.macs_per_row = k.macs_per_row > 0 ? k.macs_per_row : s.taps();
+      std::uniform_real_distribution<float> wdist(-0.9f, 0.9f);
+      std::uniform_real_distribution<float> adist(0.0f, 1.0f);
+      c.weights.resize(static_cast<std::size_t>(s.weights()));
+      for (auto& w : c.weights) w = wdist(rng);
+      c.input.resize(static_cast<std::size_t>(s.activations()));
+      for (auto& a : c.input) a = adist(rng);
+      SCOPED_TRACE(describe(c));
+      const RunCorners rc = run_corners(s, c.hw.macs_per_row);
+      hit.both_sides_clipped += rc.both_sides_clipped;
+      hit.mid_row_slices += rc.mid_row_slices;
+
+      // Input rows (columns) some window reads: the ones a kernel row
+      // covers, cin planes of them.
+      auto covered = [&s](int in, int out) {
+        int n = 0;
+        for (int i = 0; i < in; ++i) {
+          bool read = false;
+          for (int o = 0; o < out; ++o)
+            read |= i >= o * s.stride - s.pad &&
+                    i < o * s.stride - s.pad + s.kw;
+          n += read;
+        }
+        return n;
+      };
+      const std::int64_t read_slots = static_cast<std::int64_t>(s.cin) *
+                                       covered(s.hin, s.hout()) *
+                                       covered(s.win, s.wout());
+      unread_layers += read_slots < s.activations();
+
+      const std::vector<std::int64_t> want = sliced_reference(c, c.hw);
+      std::int64_t generated[2] = {0, 0};
+      {
+        ScopedFaultInjection off(nullptr);
+        const std::int64_t before = act_streams_generated();
+        EXPECT_EQ(machine_counts(c, c.hw), want) << "clean";
+        generated[0] = act_streams_generated() - before;
+      }
+      {
+        ScopedFaultInjection inject(FaultConfig{});  // zero-rate: lazy path
+        const std::int64_t before = act_streams_generated();
+        EXPECT_EQ(machine_counts(c, c.hw), want) << "zero-rate faults";
+        generated[1] = act_streams_generated() - before;
+      }
+      EXPECT_EQ(generated[0], read_slots);
+      EXPECT_EQ(generated[1], read_slots);
+      {
+        ScopedFaultInjection inject(sram_faults(rng()));
+        EXPECT_EQ(machine_counts(c, c.hw), sliced_reference(c, c.hw))
+            << "sram faults";
+      }
+    }
+  }
+  EXPECT_GT(hit.both_sides_clipped, 0);
+  EXPECT_GT(hit.mid_row_slices, 0);
+  EXPECT_GT(unread_layers, 0);
 }
 
 // Window packing corners at every packed stream length (L <= 32 puts
