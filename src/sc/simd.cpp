@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
-#include "telemetry/journal.hpp"
+#include "core/env.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define GEO_SIMD_HAVE_X86 1
@@ -469,18 +468,10 @@ const Ops* ops_for(Backend backend) noexcept {
 std::atomic<const Ops*> g_ops{nullptr};
 std::atomic<Backend> g_backend{Backend::kScalar};
 
-void reject(const char* value, const char* what) {
-  std::fprintf(stderr,
-               "[geo] GEO_SIMD=%s %s; using the scalar backend\n", value,
-               what);
-  if (auto& journal = telemetry::Journal::instance(); journal.enabled())
-    journal.record("config.invalid", "GEO_SIMD", {}, what);
-}
-
 // GEO_SIMD -> backend, fail-closed: auto/unset picks the best supported
 // backend; an explicit backend must be executable on this CPU; anything
-// else is rejected once (stderr + config.invalid journal entry) and runs
-// scalar — never a crash, never a silent downgrade.
+// else is rejected through core::reject_knob and runs scalar — never a
+// crash, never a silent downgrade.
 Backend resolve_from_env() {
   const char* v = std::getenv("GEO_SIMD");
   const std::string_view s = v != nullptr ? v : "";
@@ -489,10 +480,14 @@ Backend resolve_from_env() {
   if (s == "avx2" || s == "neon") {
     const Backend want = s == "avx2" ? Backend::kAvx2 : Backend::kNeon;
     if (backend_supported(want)) return want;
-    reject(v, "names a backend this CPU cannot execute");
+    core::reject_knob("GEO_SIMD", v,
+                      "names a backend this CPU cannot execute; using the "
+                      "scalar backend");
     return Backend::kScalar;
   }
-  reject(v, "is not one of auto|avx2|neon|scalar");
+  core::reject_knob("GEO_SIMD", v,
+                    "is not one of auto|avx2|neon|scalar; using the scalar "
+                    "backend");
   return Backend::kScalar;
 }
 

@@ -23,8 +23,9 @@
 //   GEO_SIMD = auto|avx2|neon|scalar   backend selection (default auto).
 //   Sampled once per process on first use (the resolved table pointer sits
 //   on every hot path). A malformed value, or a backend the CPU cannot
-//   execute, is reported once on stderr, recorded as a `config.invalid`
-//   journal entry, and falls closed to the scalar backend.
+//   execute, is rejected through core::reject_knob (one stderr warning,
+//   one `config.invalid` journal entry) and falls closed to the scalar
+//   backend.
 #pragma once
 
 #include <cstddef>

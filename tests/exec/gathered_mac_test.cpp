@@ -20,14 +20,17 @@
 // accumulator. That stays exact under SECDED SRAM faults with 2-bit bursts
 // (a zero word reads back as zero: corrected or zeroed) and under a stuck
 // counter column (applied per slice on both sides). Accumulator-input flips
-// would hit the zeroed taps' products too, so the accum leg runs on a
-// single-slice schedule. The machine models APC as exact counting, so its
-// reference is the nn layer in FXP mode.
+// would hit the zeroed taps' products too, so the accum leg checks against
+// a per-slice per-tap reference instead, on the case's own (often sliced)
+// schedule; on a single-slice schedule that reference must also match the
+// nn layer. The machine models APC as exact counting, so its reference is
+// the nn layer in FXP mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <random>
 #include <string>
 #include <vector>
@@ -35,6 +38,7 @@
 #include "arch/machine.hpp"
 #include "fault/fault_model.hpp"
 #include "nn/sc_layers.hpp"
+#include "sc/stream_table.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace geo {
@@ -144,6 +148,100 @@ std::vector<std::int64_t> sliced_reference(const Case& c,
   return sum;
 }
 
+// The machine's per-tap reduction, rebuilt slice by slice from the shared
+// stream builders: each slice of hw.macs_per_row taps visits only its
+// in-bounds taps, flips each product pair at the machine's accumulator
+// sites (oidx * K + t) * 2 and + 1, ORs tap t into group t % groups (FXP
+// and APC count every product), and runs its per-cycle counts through the
+// stuck column before the slice's partial sum is added.
+std::vector<std::int64_t> per_tap_reference(const Case& c,
+                                            const HwConfig& hw) {
+  const ConvShape& s = c.shape;
+  const nn::ScLayerConfig cfg = GeoMachine(hw).layer_config(s, c.salt);
+  fault::FaultModel* const fm = fault::active();
+  const bool use_table = sc::stream_table_enabled();
+  const int K = s.taps(), L = cfg.stream_len;
+  const std::size_t wpl = static_cast<std::size_t>((L + 63) / 64);
+  const sc::KernelExtents ext{s.cout, s.cin, s.kh, s.kw};
+  const sc::SeedAllocator alloc(cfg.sharing, cfg.lfsr_bits(), ext,
+                                cfg.layer_salt);
+  const nn::WeightBank bank = nn::build_weight_bank(
+      c.weights, ext, cfg, alloc,
+      {.oc_stride = static_cast<std::size_t>(K) * wpl, .tap_stride = wpl,
+       .word_stride = 1},
+      fm, use_table);
+  std::vector<std::uint32_t> slots(c.input.size());
+  std::iota(slots.begin(), slots.end(), 0u);
+  std::vector<std::uint64_t> act(slots.size() * wpl);
+  nn::build_activation_streams(
+      act.data(), c.input, slots, cfg, alloc,
+      nn::resolve_activation_tables(cfg, alloc, slots.size(), fm, use_table),
+      fm, use_table);
+
+  const bool direct =
+      cfg.accum == nn::AccumMode::kFxp || cfg.accum == nn::AccumMode::kApc;
+  const int groups = cfg.accum == nn::AccumMode::kPbw    ? s.kw
+                     : cfg.accum == nn::AccumMode::kPbhw ? s.kh * s.kw
+                                                         : 1;
+  const int lanes = direct ? 1 : groups;
+  // Per-cycle counts of one slice: [lane][sign][cycle].
+  std::vector<std::uint32_t> cycles(static_cast<std::size_t>(lanes) * 2 * L);
+  std::vector<std::uint64_t> prod(2 * wpl);
+  std::vector<std::int64_t> out(static_cast<std::size_t>(s.outputs()), 0);
+  for (int oc = 0; oc < s.cout; ++oc)
+    for (int oy = 0; oy < s.hout(); ++oy)
+      for (int ox = 0; ox < s.wout(); ++ox) {
+        const std::size_t oidx =
+            (static_cast<std::size_t>(oc) * s.hout() + oy) * s.wout() + ox;
+        for (int lo = 0; lo < K; lo += hw.macs_per_row) {
+          std::fill(cycles.begin(), cycles.end(), 0);
+          for (int t = lo; t < std::min(K, lo + hw.macs_per_row); ++t) {
+            const int ic = t / (s.kh * s.kw), ky = t / s.kw % s.kh,
+                      kx = t % s.kw;
+            const int iy = oy * s.stride - s.pad + ky;
+            const int ix = ox * s.stride - s.pad + kx;
+            if (iy < 0 || iy >= s.hin || ix < 0 || ix >= s.win) continue;
+            const std::uint64_t* a =
+                &act[((static_cast<std::size_t>(ic) * s.hin + iy) * s.win +
+                      ix) *
+                     wpl];
+            const std::size_t w = (static_cast<std::size_t>(oc) * K + t) * wpl;
+            for (std::size_t j = 0; j < wpl; ++j) {
+              prod[j] = a[j] & bank.pos[w + j];
+              prod[wpl + j] = a[j] & bank.neg[w + j];
+            }
+            if (fm != nullptr) {
+              const std::uint64_t site =
+                  (static_cast<std::uint64_t>(oidx) * K + t) * 2;
+              fm->corrupt_accum_input(prod.data(),
+                                      static_cast<std::size_t>(L), site);
+              fm->corrupt_accum_input(prod.data() + wpl,
+                                      static_cast<std::size_t>(L), site + 1);
+            }
+            const std::size_t lane = direct ? 0 : t % groups;
+            for (int sign = 0; sign < 2; ++sign)
+              for (int b = 0; b < L; ++b) {
+                const auto on = static_cast<std::uint32_t>(
+                    (prod[sign * wpl + static_cast<std::size_t>(b >> 6)] >>
+                     (b & 63)) &
+                    1u);
+                std::uint32_t& n =
+                    cycles[(lane * 2 + sign) * L + static_cast<std::size_t>(b)];
+                n = direct ? n + on : (n | on);
+              }
+          }
+          std::int64_t total = 0;
+          for (std::size_t i = 0; i < cycles.size(); ++i) {
+            const std::int64_t v =
+                fm != nullptr ? fm->apply_stuck(cycles[i]) : cycles[i];
+            total += (i / L) % 2 == 0 ? v : -v;
+          }
+          out[oidx] += total;
+        }
+      }
+  return out;
+}
+
 std::string describe(const Case& c) {
   const ConvShape& s = c.shape;
   return "cin=" + std::to_string(s.cin) + " cout=" + std::to_string(s.cout) +
@@ -181,7 +279,7 @@ class GatheredMac : public ::testing::TestWithParam<nn::AccumMode> {};
 TEST_P(GatheredMac, MatchesScConv2dOnRandomLayers) {
   const nn::AccumMode accum = GetParam();
   int mid_group = 0, ragged_channels = 0, ragged_windows = 0, padded = 0,
-      partial_words = 0, strided = 0;
+      partial_words = 0, strided = 0, sliced_accum = 0;
   for (const int L : {8, 16, 32, 64, 128}) {
     std::mt19937 rng(1000u * static_cast<unsigned>(accum) +
                      static_cast<unsigned>(L));
@@ -215,11 +313,15 @@ TEST_P(GatheredMac, MatchesScConv2dOnRandomLayers) {
             << "stuck column";
       }
       {
-        HwConfig whole = c.hw;
-        whole.macs_per_row = s.taps();
         ScopedFaultInjection inject(stuck_faults(rng, 0.02));
-        EXPECT_EQ(machine_counts(c, whole), nn_counts(c, whole, 0, s.taps()))
+        const std::vector<std::int64_t> want = per_tap_reference(c, c.hw);
+        EXPECT_EQ(machine_counts(c, c.hw), want)
             << "accum flips + stuck column";
+        if (plan.kernel_slices == 1) {
+          EXPECT_EQ(want, nn_counts(c, c.hw, 0, s.taps()))
+              << "per-tap reference vs nn, accum flips + stuck column";
+        }
+        sliced_accum += plan.kernel_slices > 1;
       }
     }
   }
@@ -229,6 +331,7 @@ TEST_P(GatheredMac, MatchesScConv2dOnRandomLayers) {
   EXPECT_GT(padded, 0);
   EXPECT_GT(partial_words, 0);
   EXPECT_GT(strided, 0);
+  EXPECT_GT(sliced_accum, 0);
 }
 
 // What the gather's kernel-row runs meet on a layer: the gather copies the

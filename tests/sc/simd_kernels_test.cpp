@@ -12,8 +12,13 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <random>
+#include <string>
 #include <vector>
+
+#include "telemetry/journal.hpp"
 
 namespace geo::sc::simd {
 namespace {
@@ -189,6 +194,32 @@ TEST(SimdBackend, UnsupportedRequestFallsBackToScalar) {
 #endif
   ScopedSimdBackend scope(impossible);
   EXPECT_EQ(active(), Backend::kScalar);
+}
+
+// GEO_SIMD fails closed like every other knob: an unknown value runs the
+// scalar backend and leaves one `config.invalid` entry. The backend is
+// resolved once per process, so the check runs in a fresh one (a
+// threadsafe death test re-executes the binary).
+TEST(SimdBackendDeathTest, UnknownValueFallsClosedToScalar) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "geo_simd_knob.jsonl")
+          .string();
+  EXPECT_EXIT(
+      {
+        ::setenv("GEO_SIMD", "banana", 1);
+        auto& journal = telemetry::Journal::instance();
+        journal.disable();
+        journal.enable(path, 64);
+        const bool scalar = active() == Backend::kScalar;
+        int entries = 0;
+        for (const telemetry::JournalEntry& e : journal.snapshot())
+          entries += e.kind == "config.invalid" && e.label == "GEO_SIMD";
+        journal.disable();
+        std::_Exit(scalar && entries == 1 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "GEO_SIMD='banana'.*scalar backend");
+  std::filesystem::remove(path);
 }
 
 }  // namespace
